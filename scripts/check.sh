@@ -40,7 +40,8 @@
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + integrity
-#                                   #   gather/heal + codec stress loop in
+#                                   #   gather/heal + codec stress loop +
+#                                   #   concurrent metadata discovery in
 #                                   #   build-tsan/
 #
 # Flags compose: `scripts/check.sh --stress --bench`. The fast tier always
@@ -164,11 +165,12 @@ fi
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
-  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test codec_stress_test
+  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test codec_stress_test client_test
   (cd build-tsan && ./tests/thread_pool_test && ./tests/pipeline_stress_test && ./tests/degraded_test &&
     ./tests/gateway_test && ./tests/dedup_test &&
     ./tests/buffer_pool_test && ./tests/chunk_cache_test &&
-    ./tests/integrity_test && ./tests/codec_stress_test)
+    ./tests/integrity_test && ./tests/codec_stress_test &&
+    ./tests/client_test --gtest_filter='ClientTest.DiscoveryIsTheSameOnBothSidesOfTheFanOutGate')
 fi
 
 echo "OK"

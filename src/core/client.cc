@@ -79,15 +79,27 @@ class LatencyRecorder {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Parses "<base>.<index>.<generation>"; returns false for other names.
-bool ParseMetaShareName(std::string_view object, std::string* base, uint32_t* index,
-                        std::string* generation) {
+// A parsed metadata share name; the views point into the parsed name.
+struct MetaShareNameParts {
+  std::string_view base;
+  uint32_t index = 0;
+  std::string_view generation;
+};
+
+// Parses "<base>.<index>.<generation>" without allocating; returns false
+// for any other name. The index must be written as MetaShareName writes
+// it (1-3 decimal digits, no leading zero, below kMaxShares), so a foreign
+// name can neither wrap around nor pad its way onto a real share's index;
+// base and generation must be non-empty.
+bool ParseMetaShareName(std::string_view object, MetaShareNameParts* parts) {
   const size_t gen_dot = object.rfind('.');
-  if (gen_dot == std::string_view::npos || gen_dot + 1 >= object.size()) {
+  if (gen_dot == std::string_view::npos || gen_dot == 0 || gen_dot + 1 >= object.size()) {
     return false;
   }
   const size_t idx_dot = object.rfind('.', gen_dot - 1);
-  if (idx_dot == std::string_view::npos || idx_dot + 1 >= gen_dot) {
+  const size_t digits = gen_dot - idx_dot - 1;
+  if (idx_dot == std::string_view::npos || idx_dot == 0 || digits == 0 || digits > 3 ||
+      (digits > 1 && object[idx_dot + 1] == '0')) {
     return false;
   }
   uint32_t value = 0;
@@ -97,9 +109,12 @@ bool ParseMetaShareName(std::string_view object, std::string* base, uint32_t* in
     }
     value = value * 10 + static_cast<uint32_t>(object[i] - '0');
   }
-  *base = std::string(object.substr(0, idx_dot));
-  *index = value;
-  *generation = std::string(object.substr(gen_dot + 1));
+  if (value >= kMaxShares) {
+    return false;
+  }
+  parts->base = object.substr(0, idx_dot);
+  parts->index = value;
+  parts->generation = object.substr(gen_dot + 1);
   return true;
 }
 
@@ -269,6 +284,10 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
       "cyrus_integrity_records_upgraded_total", {},
       "Legacy (pre-digest) chunk records upgraded with per-share digests "
       "derived on first read");
+  meta_rejected_ = metrics_->GetCounter(
+      "cyrus_meta_rejected_total", {},
+      "Synced metadata versions skipped because they failed validation; "
+      "their objects are not fetched again until Recover()");
   put_latency_ms_ = metrics_->GetHistogram("cyrus_client_put_latency_ms", {}, {},
                                            "End-to-end Put pipeline wall time");
   get_latency_ms_ = metrics_->GetHistogram("cyrus_client_get_latency_ms", {}, {},
@@ -1251,12 +1270,9 @@ Result<FileVersion> CyrusClient::FetchMetadata(const std::string& base,
       continue;
     }
     for (const ObjectInfo& object : *listing) {
-      std::string parsed_base;
-      uint32_t index = 0;
-      std::string generation;
-      if (ParseMetaShareName(object.name, &parsed_base, &index, &generation) &&
-          parsed_base == base) {
-        generations[generation].emplace(index, csp);
+      MetaShareNameParts parts;
+      if (ParseMetaShareName(object.name, &parts) && parts.base == base) {
+        generations[std::string(parts.generation)].emplace(parts.index, csp);
       }
     }
   }
@@ -1373,7 +1389,7 @@ LocalCacheSnapshot CyrusClient::ExportCache() const {
     snapshot.versions.push_back(ToWireForm(*version));
   }
   snapshot.chunk_table = chunk_table_;
-  snapshot.known_meta_bases = known_meta_bases_;
+  snapshot.known_meta_bases.insert(known_meta_bases_.begin(), known_meta_bases_.end());
   return snapshot;
 }
 
@@ -1390,7 +1406,8 @@ Status CyrusClient::ImportCache(const LocalCacheSnapshot& snapshot) {
     // rebuild reproduces refcounts exactly.
     CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(version));
   }
-  known_meta_bases_ = snapshot.known_meta_bases;
+  known_meta_bases_.insert(snapshot.known_meta_bases.begin(),
+                           snapshot.known_meta_bases.end());
   return OkStatus();
 }
 
@@ -1434,47 +1451,97 @@ Result<std::vector<Conflict>> CyrusClient::SyncMetadata() {
       now - last_meta_sync_s_ < config_.metadata_sync_interval_s) {
     return std::vector<Conflict>{};
   }
-  last_meta_sync_s_ = now;
 
   // One listing pass over the active CSPs discovers every metadata base.
-  std::set<std::string> bases;
+  // Each CSP's scan only reads the ingested/rejected sets, so a large
+  // namespace lists its CSPs concurrently; the health bookkeeping below
+  // stays on this thread, in active-index order.
+  std::vector<std::pair<int, CloudConnector*>> targets;
   for (int csp : registry_.ActiveIndices()) {
-    auto conn = registry_.connector(csp);
-    if (!conn.ok()) {
-      continue;
+    if (auto conn = registry_.connector(csp); conn.ok()) {
+      targets.emplace_back(csp, *conn);
     }
-    auto listing = RetryWithBackoff(config_.transfer_retry,
-                                    [&] { return (*conn)->List("meta-"); });
+  }
+  struct MetaScan {
+    Status status;  // the listing error when the CSP could not be listed
+    std::vector<std::string> new_bases;
+  };
+  std::vector<MetaScan> scans(targets.size());
+  auto scan = [&](size_t i) {
+    CloudConnector& conn = *targets[i].second;
+    auto listing =
+        RetryWithBackoff(config_.transfer_retry, [&] { return conn.List("meta-"); });
     if (!listing.ok()) {
-      (void)NoteTransferFailure(csp, listing.status());
-      continue;
+      scans[i].status = listing.status();
+      return;
     }
-    monitor_.RecordProbe(csp, now_, true);
+    // Nearly every listed base is already known: look it up through the
+    // view, and copy out only the new ones. A CSP holds one share per base
+    // (more only for stale generations or id-keyed duplicates, which list
+    // adjacently); the merge below dedups across CSPs.
+    std::vector<std::string>& new_bases = scans[i].new_bases;
     for (const ObjectInfo& object : *listing) {
-      std::string base;
-      uint32_t index = 0;
-      std::string generation;
-      if (ParseMetaShareName(object.name, &base, &index, &generation)) {
-        bases.insert(base);
+      MetaShareNameParts parts;
+      if (ParseMetaShareName(object.name, &parts) &&
+          !known_meta_bases_.contains(parts.base) &&
+          !rejected_meta_bases_.contains(parts.base) &&
+          (new_bases.empty() || new_bases.back() != parts.base)) {
+        new_bases.emplace_back(parts.base);
       }
     }
+  };
+  if (pool_ != nullptr && targets.size() > 1 &&
+      known_meta_bases_.size() >= kParallelMetaScanMinBases) {
+    pool_->ParallelFor(targets.size(), scan);
+  } else {
+    for (size_t i = 0; i < targets.size(); ++i) {
+      scan(i);
+    }
+  }
+
+  std::set<std::string> bases;
+  bool listed_any = false;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const int csp = targets[i].first;
+    if (!scans[i].status.ok()) {
+      (void)NoteTransferFailure(csp, scans[i].status);
+      continue;
+    }
+    listed_any = true;
+    monitor_.RecordProbe(csp, now_, true);
+    bases.insert(std::make_move_iterator(scans[i].new_bases.begin()),
+                 std::make_move_iterator(scans[i].new_bases.end()));
+  }
+  // A pass that listed nothing learned nothing; leave the throttle open so
+  // the next call tries again.
+  if (listed_any) {
+    last_meta_sync_s_ = now;
   }
 
   TransferReport report;
   std::set<std::string> touched_names;
   for (const std::string& base : bases) {
-    if (known_meta_bases_.count(base) > 0) {
-      continue;
-    }
     auto version = FetchMetadata(base, report);
     if (!version.ok()) {
       continue;  // unreachable this round; retried on the next sync
     }
-    CYRUS_RETURN_IF_ERROR(version->Validate());
-    if (!tree_.Contains(version->id)) {
-      CYRUS_RETURN_IF_ERROR(tree_.Insert(*version));
-      CYRUS_RETURN_IF_ERROR(RegisterVersionChunks(*version));
-      touched_names.insert(version->file_name);
+    // A decodable but inconsistent version (e.g. chunk offsets that do not
+    // tile) is skipped, not surfaced: failing here would fail every call on
+    // every file, and refetch the object on each of them.
+    Status accepted = version->Validate();
+    if (accepted.ok() && !tree_.Contains(version->id)) {
+      accepted = tree_.Insert(*version);
+      if (accepted.ok()) {
+        accepted = RegisterVersionChunks(*version);
+      }
+      if (accepted.ok()) {
+        touched_names.insert(version->file_name);
+      }
+    }
+    if (!accepted.ok()) {
+      meta_rejected_->Increment();
+      rejected_meta_bases_.insert(base);
+      continue;
     }
     known_meta_bases_.insert(base);
   }
@@ -1509,6 +1576,7 @@ Status CyrusClient::Recover() {
   tree_ = VersionTree();
   chunk_table_ = ChunkTable();
   known_meta_bases_.clear();
+  rejected_meta_bases_.clear();
   last_meta_sync_s_ = -1.0;  // force a full pass despite the throttle
   return SyncMetadata().status();
 }

@@ -27,6 +27,8 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "src/chunker/chunker.h"
@@ -84,12 +86,16 @@ struct CyrusConfig {
   uint32_t meta_t = 2;
 
   // Minimum virtual-time gap (seconds, per set_time) between full metadata
-  // sync passes. Every Get/List re-lists all metadata objects on every
-  // active CSP to pick up writes from other devices - O(total versions)
-  // per call. A sole-writer deployment (e.g. a gateway shard worker that
-  // owns its CSP pool) can throttle that discovery scan since no foreign
-  // writes can appear. 0 (the default) keeps the always-sync behavior;
-  // Recover() always forces a full pass regardless.
+  // sync passes. Every Get/GetRange/List re-lists all metadata objects on
+  // every active CSP to pick up writes from other devices. Known bases are
+  // skipped without allocating, and once the namespace holds enough
+  // versions (CyrusClient::kParallelMetaScanMinBases) the CSPs are listed
+  // concurrently on the transfer pool, so the scan costs O(versions x CSPs
+  // / pool threads) per call. A sole-writer deployment (e.g. a gateway
+  // shard worker that owns its CSP pool) can throttle that discovery scan
+  // since no foreign writes can appear. Only a pass that listed at least
+  // one CSP starts the interval. 0 (the default) keeps the always-sync
+  // behavior; Recover() always forces a full pass regardless.
   double metadata_sync_interval_s = 0.0;
 
   // Place at most one share of a chunk per platform cluster (§4.1).
@@ -388,6 +394,18 @@ class CyrusClient {
   // Pulls metadata objects this client has not seen and returns the
   // conflicts the new versions introduce (paper §5.4).
   Result<std::vector<Conflict>> SyncMetadata();
+
+  // SyncMetadata lists the CSPs concurrently on the transfer pool once the
+  // client knows this many metadata bases; smaller namespaces scan them in
+  // a plain loop. Measured with 7 in-memory CSPs and 4 pool threads on a
+  // 4-core x86 host: handing 7 scans to the pool and joining them costs
+  // about 20 us, and listing plus scanning costs 0.1-0.3 us per listed
+  // object (more as the namespace outgrows the caches). The two break
+  // even near 64 bases (about 50 us a pass); at 128 the fan-out saves
+  // about 30% (95 -> 67 us), at 2,000 about 65% (3.8 -> 1.3 ms). A pass
+  // over a handful of versions (about 10 us for 8) stays serial, where
+  // the dispatch and wake-up jitter would cost more than the scan itself.
+  static constexpr size_t kParallelMetaScanMinBases = 128;
 
   // Rebuilds the whole local state (version tree + chunk table) from the
   // clouds; what a freshly installed device runs (Table 3's recover()).
@@ -690,10 +708,22 @@ class CyrusClient {
   // Per-CSP circuit breakers (populated only when config.breaker.enabled);
   // guarded by topology_mutex_.
   std::map<int, std::shared_ptr<CircuitBreaker>> breakers_;
-  // Metadata object base names this client has already ingested.
-  std::set<std::string> known_meta_bases_;
-  // Virtual time of the last full SyncMetadata discovery pass (-1 = never);
-  // compared against metadata_sync_interval_s.
+  // Metadata object base names this client has already ingested, and
+  // those whose versions failed validation (skipped until Recover()).
+  // Every discovery pass probes these once per listed object, so they are
+  // hash sets with transparent lookup: the scan probes with views into
+  // the listing (on 2,300 bases, half the cost of an ordered set).
+  struct BaseNameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using BaseNameSet = std::unordered_set<std::string, BaseNameHash, std::equal_to<>>;
+  BaseNameSet known_meta_bases_;
+  BaseNameSet rejected_meta_bases_;
+  // Virtual time of the last SyncMetadata pass that listed at least one
+  // CSP (-1 = never); compared against metadata_sync_interval_s.
   double last_meta_sync_s_ = -1.0;
   std::atomic<double> now_{0.0};
   // Gateway backpressure override of the pipeline window (0 = use config).
@@ -722,6 +752,7 @@ class CyrusClient {
   obs::Counter* integrity_failures_ = nullptr;
   obs::Counter* integrity_shares_healed_ = nullptr;
   obs::Counter* integrity_records_upgraded_ = nullptr;
+  obs::Counter* meta_rejected_ = nullptr;
   obs::Histogram* put_latency_ms_ = nullptr;
   obs::Histogram* get_latency_ms_ = nullptr;
 };

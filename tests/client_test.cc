@@ -1,11 +1,19 @@
 // End-to-end tests of CyrusClient against simulated heterogeneous CSPs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
+#include <set>
 
+#include "src/cloud/fault_injection.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/crypto/naming.h"
+#include "src/crypto/sha1.h"
 #include "src/meta/metadata.h"
+#include "src/meta/serialize.h"
+#include "src/rs/secret_sharing.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 
@@ -31,31 +39,40 @@ CyrusConfig SmallConfig(std::string client_id = "device-1") {
   return config;
 }
 
-// Builds a fresh client over existing CSPs (or new ones if none given).
-TestCloud MakeCloud(CyrusConfig config = SmallConfig(),
-                    std::vector<std::shared_ptr<SimulatedCsp>> csps = {}) {
-  TestCloud cloud;
-  if (csps.empty()) {
-    for (int i = 0; i < kNumCsps; ++i) {
-      SimulatedCspOptions o;
-      o.id = "csp" + std::to_string(i);
-      o.naming = (i % 2 == 0) ? NamingPolicy::kNameKeyed : NamingPolicy::kIdKeyed;
-      cloud.csps.push_back(std::make_shared<SimulatedCsp>(o));
-    }
-  } else {
-    cloud.csps = std::move(csps);
+// `count` fresh CSPs, alternating the two naming policies.
+std::vector<std::shared_ptr<SimulatedCsp>> MakeCsps(int count) {
+  std::vector<std::shared_ptr<SimulatedCsp>> csps;
+  for (int i = 0; i < count; ++i) {
+    SimulatedCspOptions o;
+    o.id = "csp" + std::to_string(i);
+    o.naming = (i % 2 == 0) ? NamingPolicy::kNameKeyed : NamingPolicy::kIdKeyed;
+    csps.push_back(std::make_shared<SimulatedCsp>(o));
   }
+  return csps;
+}
+
+// A fresh client over `connectors`, registered in order.
+std::unique_ptr<CyrusClient> MakeClientOver(
+    CyrusConfig config, const std::vector<std::shared_ptr<CloudConnector>>& connectors) {
   auto client = CyrusClient::Create(std::move(config));
   EXPECT_TRUE(client.ok()) << client.status();
-  cloud.client = std::move(client).value();
-  for (size_t i = 0; i < cloud.csps.size(); ++i) {
+  for (size_t i = 0; i < connectors.size(); ++i) {
     CspProfile profile;
     profile.rtt_ms = 100 + 10.0 * i;
     profile.download_bytes_per_sec = (i < 2) ? 15e6 : 2e6;
     profile.upload_bytes_per_sec = profile.download_bytes_per_sec / 2;
-    auto added = cloud.client->AddCsp(cloud.csps[i], profile, Credentials{"token"});
+    auto added = (*client)->AddCsp(connectors[i], profile, Credentials{"token"});
     EXPECT_TRUE(added.ok()) << added.status();
   }
+  return std::move(client).value();
+}
+
+// Builds a fresh client over existing CSPs (or new ones if none given).
+TestCloud MakeCloud(CyrusConfig config = SmallConfig(),
+                    std::vector<std::shared_ptr<SimulatedCsp>> csps = {}) {
+  TestCloud cloud;
+  cloud.csps = csps.empty() ? MakeCsps(kNumCsps) : std::move(csps);
+  cloud.client = MakeClientOver(std::move(config), {cloud.csps.begin(), cloud.csps.end()});
   return cloud;
 }
 
@@ -753,6 +770,325 @@ TEST(ClientTest, MetadataIsSecretSharedNotPlaintext) {
           << "file name leaked into " << object.name << " on " << csp->id();
     }
   }
+}
+
+// --- Metadata discovery (SyncMetadata) ---
+
+// Forwards every call, recording List prefixes and Download names.
+class RecordingConnector : public CloudConnector {
+ public:
+  explicit RecordingConnector(std::shared_ptr<CloudConnector> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string_view id() const override { return inner_->id(); }
+  Status Authenticate(const Credentials& credentials) override {
+    return inner_->Authenticate(credentials);
+  }
+  Result<std::vector<ObjectInfo>> List(std::string_view prefix) override {
+    Record(lists_, prefix);
+    return inner_->List(prefix);
+  }
+  Status Upload(std::string_view name, ByteSpan data) override {
+    return inner_->Upload(name, data);
+  }
+  Result<Bytes> Download(std::string_view name) override {
+    Record(downloads_, name);
+    return inner_->Download(name);
+  }
+  Status Delete(std::string_view name) override { return inner_->Delete(name); }
+
+  size_t ListsOf(std::string_view prefix) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<size_t>(std::count(lists_.begin(), lists_.end(), prefix));
+  }
+  std::vector<std::string> downloads() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return downloads_;
+  }
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    lists_.clear();
+    downloads_.clear();
+  }
+
+ private:
+  void Record(std::vector<std::string>& log, std::string_view entry) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    log.emplace_back(entry);
+  }
+
+  std::shared_ptr<CloudConnector> inner_;
+  mutable std::mutex mutex_;
+  std::vector<std::string> lists_;
+  std::vector<std::string> downloads_;
+};
+
+std::set<Sha1Digest> VersionIds(const CyrusClient& client) {
+  std::set<Sha1Digest> ids;
+  for (const FileVersion* version : client.tree().AllVersions()) {
+    ids.insert(version->id);
+  }
+  return ids;
+}
+
+// One discovery scenario over `files` background files plus a "shared"
+// file that two writers then edit concurrently. The reader shares the
+// writers' 7 CSPs, and its connector to one of them stops answering just
+// before the sibling edits are discovered. Returns the conflicts the
+// reader's Get reported, with sorted version ids.
+void RunDiscoveryScenario(size_t files, std::vector<Conflict>* conflicts) {
+  constexpr int kCsps = 7;
+  constexpr int kFailing = 3;
+  const std::vector<std::shared_ptr<SimulatedCsp>> csps = MakeCsps(kCsps);
+  TestCloud writer_a = MakeCloud(SmallConfig("writer-a"), csps);
+  writer_a.client->set_time(1.0);
+  for (size_t i = 0; i < files; ++i) {
+    ASSERT_TRUE(writer_a.client->Put(StrCat("dir/f", i), RandomContent(100, 1000 + i)).ok());
+  }
+  ASSERT_TRUE(writer_a.client->Put("shared", RandomContent(100, 90)).ok());
+  TestCloud writer_b = MakeCloud(SmallConfig("writer-b"), csps);
+  ASSERT_TRUE(writer_b.client->SyncMetadata().ok());
+
+  CyrusConfig config = SmallConfig("reader");
+  config.transfer_retry.max_attempts = 1;  // one List per CSP per pass
+  std::shared_ptr<FaultInjectingConnector> faulty;
+  std::vector<std::shared_ptr<RecordingConnector>> recorders;
+  std::vector<std::shared_ptr<CloudConnector>> connectors;
+  for (int i = 0; i < kCsps; ++i) {
+    std::shared_ptr<CloudConnector> inner = csps[i];
+    if (i == kFailing) {
+      faulty = std::make_shared<FaultInjectingConnector>(csps[i], FaultInjectionOptions{});
+      inner = faulty;
+    }
+    recorders.push_back(std::make_shared<RecordingConnector>(inner));
+    connectors.push_back(recorders.back());
+  }
+  std::unique_ptr<CyrusClient> reader = MakeClientOver(config, connectors);
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  ASSERT_EQ(reader->tree().size(), files + 1);
+
+  writer_a.client->set_time(2.0);
+  writer_b.client->set_time(2.5);
+  ASSERT_TRUE(writer_a.client->Put("shared", RandomContent(100, 91)).ok());
+  auto newest = writer_b.client->Put("shared", RandomContent(100, 92));
+  ASSERT_TRUE(newest.ok());
+  faulty->set_permanently_down(true);
+  for (const auto& recorder : recorders) {
+    recorder->Clear();
+  }
+
+  auto get = reader->Get("shared");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->version_id, newest->version_id);
+  std::set<Sha1Digest> published = VersionIds(*writer_a.client);
+  published.merge(VersionIds(*writer_b.client));
+  EXPECT_EQ(VersionIds(*reader), published);
+  *conflicts = get->conflicts;
+  for (Conflict& conflict : *conflicts) {
+    std::sort(conflict.versions.begin(), conflict.versions.end());
+  }
+  // The failed listing was noted (no breakers: the CSP leaves the active
+  // set), and every CSP active at the start of the Get was listed once.
+  EXPECT_EQ(reader->registry().state(kFailing).value(), CspState::kFailed);
+  for (int i = 0; i < kCsps; ++i) {
+    EXPECT_EQ(recorders[i]->ListsOf("meta-"), 1u) << "csp " << i;
+  }
+
+  // Nothing new published: one listing per active CSP and no metadata
+  // downloads (every download is one of the Get's own share reads).
+  for (const auto& csp : csps) {
+    csp->ResetCounters();
+  }
+  auto again = reader->Get("shared");
+  ASSERT_TRUE(again.ok()) << again.status();
+  uint64_t downloads = 0;
+  for (int i = 0; i < kCsps; ++i) {
+    EXPECT_EQ(csps[i]->counters().lists, i == kFailing ? 0u : 1u) << "csp " << i;
+    downloads += csps[i]->counters().downloads;
+  }
+  size_t share_reads = 0;
+  for (const TransferRecord& record : again->transfer.records) {
+    share_reads += (record.kind == TransferKind::kGet && record.success) ? 1 : 0;
+  }
+  EXPECT_EQ(downloads, share_reads);
+}
+
+TEST(ClientTest, DiscoveryIsTheSameOnBothSidesOfTheFanOutGate) {
+  std::vector<Conflict> serial;
+  {
+    SCOPED_TRACE("serial scan");
+    RunDiscoveryScenario(8, &serial);
+  }
+  std::vector<Conflict> fanned_out;
+  {
+    SCOPED_TRACE("fanned-out scan");
+    RunDiscoveryScenario(CyrusClient::kParallelMetaScanMinBases, &fanned_out);
+  }
+  ASSERT_EQ(serial.size(), 1u);
+  EXPECT_EQ(serial[0].type, ConflictType::kDivergedVersions);
+  EXPECT_EQ(serial[0].file_name, "shared");
+  ASSERT_EQ(fanned_out.size(), 1u);
+  EXPECT_EQ(fanned_out[0].type, serial[0].type);
+  EXPECT_EQ(fanned_out[0].file_name, serial[0].file_name);
+  EXPECT_EQ(fanned_out[0].versions, serial[0].versions);
+}
+
+TEST(ClientTest, SyncThrottleStartsOnlyAfterAListedPass) {
+  const std::vector<std::shared_ptr<SimulatedCsp>> csps = MakeCsps(kNumCsps);
+  TestCloud writer = MakeCloud(SmallConfig("writer"), csps);
+  const Bytes content = RandomContent(100, 95);
+  ASSERT_TRUE(writer.client->Put("a", content).ok());
+
+  CyrusConfig config = SmallConfig("reader");
+  config.metadata_sync_interval_s = 10.0;
+  // Breakers that do not trip keep the CSPs active through the outage
+  // (without them the first failed listing marks each CSP failed).
+  config.breaker.enabled = true;
+  config.breaker.failure_threshold = 1000;
+  std::vector<std::shared_ptr<FaultInjectingConnector>> faulty;
+  std::vector<std::shared_ptr<CloudConnector>> connectors;
+  for (const auto& csp : csps) {
+    faulty.push_back(std::make_shared<FaultInjectingConnector>(csp, FaultInjectionOptions{}));
+    connectors.push_back(faulty.back());
+  }
+  std::unique_ptr<CyrusClient> reader = MakeClientOver(config, connectors);
+
+  // Every listing fails: the pass learns nothing and must not start the
+  // interval.
+  for (const auto& f : faulty) {
+    f->set_permanently_down(true);
+  }
+  ASSERT_TRUE(reader->SyncMetadata().ok());
+  EXPECT_EQ(reader->tree().size(), 0u);
+  for (const auto& f : faulty) {
+    f->set_permanently_down(false);
+  }
+  reader->set_time(1.0);
+  auto get = reader->Get("a");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+
+  // That pass listed the CSPs, so it does start the interval.
+  ASSERT_TRUE(writer.client->Put("b", RandomContent(100, 96)).ok());
+  reader->set_time(2.0);
+  EXPECT_FALSE(reader->Get("b").ok());
+  reader->set_time(11.5);
+  EXPECT_TRUE(reader->Get("b").ok());
+}
+
+TEST(ClientTest, OverlongMetadataIndexDoesNotAliasARealShare) {
+  constexpr int kCsps = 7;
+  const std::vector<std::shared_ptr<SimulatedCsp>> csps = MakeCsps(kCsps);
+  TestCloud writer = MakeCloud(SmallConfig("writer"), csps);
+  const Bytes content = RandomContent(100, 97);  // one chunk
+  auto put = writer.client->Put("doc", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  const FileVersion* version = writer.client->tree().Find(put->version_id);
+  ASSERT_NE(version, nullptr);
+
+  // Writer CSP i holds metadata share index i, and a reader downloads the
+  // two lowest indices. Pick a CSP past those that holds no chunk share,
+  // so a correct reader downloads nothing from it.
+  std::set<int> holders;
+  for (const ShareLocation& loc : version->shares) {
+    holders.insert(loc.csp);
+  }
+  int junk = -1;
+  for (int i = 2; i < kCsps && junk < 0; ++i) {
+    junk = holders.count(i) == 0 ? i : -1;
+  }
+  ASSERT_GE(junk, 0);
+
+  // Both junk indices read as 1: 4294967297 once wrapped to 32 bits, 01
+  // once its leading zero is dropped.
+  const std::string base = MetadataName(version->id);
+  auto listing = csps[0]->List(base);
+  ASSERT_TRUE(listing.ok());
+  ASSERT_EQ(listing->size(), 1u);
+  const std::string& real = listing->front().name;
+  const std::string generation = real.substr(real.rfind('.') + 1);
+  for (const char* index : {".4294967297.", ".01."}) {
+    ASSERT_TRUE(
+        csps[junk]->Upload(StrCat(base, index, generation), Bytes{'j', 'u', 'n', 'k'}).ok());
+  }
+
+  // The reader lists the junk holder before the real holder of index 1.
+  std::vector<std::shared_ptr<CloudConnector>> connectors;
+  auto junk_holder = std::make_shared<RecordingConnector>(csps[junk]);
+  connectors.push_back(junk_holder);
+  for (int i = 0; i < kCsps; ++i) {
+    if (i != junk) {
+      connectors.push_back(csps[i]);
+    }
+  }
+  std::unique_ptr<CyrusClient> reader = MakeClientOver(SmallConfig("reader"), connectors);
+  auto get = reader->Get("doc");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  EXPECT_TRUE(junk_holder->downloads().empty())
+      << "downloaded " << junk_holder->downloads().front();
+}
+
+TEST(ClientTest, InvalidForeignVersionIsSkippedNotFatal) {
+  TestCloud cloud = MakeCloud();
+  const Bytes content = RandomContent(100, 98);
+  auto put = cloud.client->Put("good", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  const FileVersion* good = cloud.client->tree().Find(put->version_id);
+  ASSERT_NE(good, nullptr);
+
+  // The same chunk under another name with an offset that does not tile:
+  // it decodes under the user key but fails FileVersion::Validate().
+  FileVersion bad = *good;
+  bad.file_name = "bad";
+  bad.prev_id = Sha1Digest{};
+  bad.chunks[0].offset = 1;
+  bad.id = ComputeVersionId(bad.content_id, bad.prev_id, bad.file_name);
+  ASSERT_FALSE(bad.Validate().ok());
+  for (const auto& csp : cloud.csps) {
+    bad.csp_directory.emplace_back(csp->id());  // registry index k -> csp k
+  }
+
+  // Scatter it the way the client publishes metadata: a length-prefixed
+  // envelope, secret-shared at meta_t, named by the padded envelope's hash.
+  const CyrusConfig& config = cloud.client->config();
+  const Bytes payload = bad.Serialize();
+  BinaryWriter header;
+  header.WriteU32(static_cast<uint32_t>(payload.size()));
+  Bytes envelope = header.TakeData();
+  envelope.insert(envelope.end(), payload.begin(), payload.end());
+  auto codec = SecretSharingCodec::Create(config.key_string, config.meta_t, kNumCsps);
+  ASSERT_TRUE(codec.ok());
+  auto shares = codec->Encode(envelope);
+  ASSERT_TRUE(shares.ok());
+  Bytes padded = envelope;
+  padded.resize(ShareSize(envelope.size(), config.meta_t) * config.meta_t, 0);
+  const std::string generation = Sha1::Hash(padded).ToHex().substr(0, 8);
+  for (int i = 0; i < kNumCsps; ++i) {
+    const Share& share = (*shares)[i];
+    ASSERT_TRUE(cloud.csps[i]
+                    ->Upload(StrCat(MetadataName(bad.id), ".", share.index, ".", generation),
+                             share.data)
+                    .ok());
+  }
+
+  obs::MetricsRegistry metrics;
+  CyrusConfig reader_config = SmallConfig("device-2");
+  reader_config.metrics = &metrics;
+  TestCloud reader = MakeCloud(reader_config, cloud.csps);
+  obs::Counter* rejected = metrics.GetCounter("cyrus_meta_rejected_total", {}, "");
+  auto get = reader.client->Get("good");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  EXPECT_EQ(rejected->value(), 1u);
+  EXPECT_EQ(reader.client->Get("bad").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(reader.client->List("").ok());
+  EXPECT_EQ(rejected->value(), 1u);  // remembered, not fetched again
+
+  // Recover() forgets the rejection and examines the object once more.
+  ASSERT_TRUE(reader.client->Recover().ok());
+  EXPECT_EQ(rejected->value(), 2u);
+  EXPECT_TRUE(reader.client->Get("good").ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -203,11 +204,17 @@ TEST(OrderedPipelineTest, FirstErrorLatchesAndSkipsLaterCompletions) {
   options.max_in_flight = 2;
   OrderedPipeline pipeline(&pool, options);
   std::atomic<int> later_completions{0};
+  // Chunk 0's work waits until its Submit has returned; otherwise a fast
+  // worker can finish it first, and Submit then delivers the failing
+  // completion and returns the latched error itself.
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
   ASSERT_TRUE(pipeline
                   .Submit(
-                      1, [] {},
+                      1, [released] { released.wait(); },
                       [] { return InternalError("chunk 0 failed"); })
                   .ok());
+  release.set_value();
   // Later submissions may observe the latched error (Submit surfaces it)
   // or slip in before delivery; either way their completions never run.
   for (int i = 0; i < 6; ++i) {
