@@ -7,8 +7,9 @@
 //      >= 10x better than cold fetches over throttled links;
 //   3. rebuffers - a paced playback loop over one slow CSP must rebuffer
 //      >= 2x less with readahead on than off;
-//   4. A/B parity - whole-file Get routed through the range scheduler must
-//      stay within 5% of the legacy gather (get_via_range_path=false).
+//   4. whole-file Get - the median of three 4 MB Gets (through the range
+//      scheduler) must stay within 5% + 10 ms of the committed
+//      range_path_ms in bench/baselines/BENCH_streaming.json.
 //
 // Links are throttled with the same ThrottledConnector discipline as
 // bench_pipeline: each transfer sleeps rtt + bytes/bandwidth of real time,
@@ -92,7 +93,6 @@ struct BedSpec {
   int slow_csps = 0;                // first N connectors get the slow link
   bool throttled = false;           // false: raw in-memory CSPs
   uint32_t readahead_chunks = 0;
-  bool get_via_range_path = true;
   uint64_t seed = 1;
 };
 
@@ -106,7 +106,6 @@ StreamBed MakeBed(const BedSpec& spec) {
   config.cluster_aware = false;
   config.transfer_concurrency = 16;
   config.readahead_chunks = spec.readahead_chunks;
-  config.get_via_range_path = spec.get_via_range_path;
   // Pin Eq. (1) to n = kNumCsps (as bench_pipeline does) so every chunk
   // stores a share on every CSP and the beds are comparable.
   config.default_failure_prob = 0.01;
@@ -364,15 +363,19 @@ int main() {
     report.AddRow(std::move(row));
   }
 
-  // --- Phase 4: whole-file Get A/B - range scheduler vs legacy gather -----
+  // --- Phase 4: whole-file Get against the committed baseline -----------
   {
     constexpr uint64_t kFileBytes = 4ull << 20;
     constexpr uint32_t kChunkBytes = 64 * 1024;
+    // range_path_ms of the "whole-file-ab" row in
+    // bench/baselines/BENCH_streaming.json, measured when this Get was
+    // still A/B-tested against (and 4.8% faster than) a separate
+    // whole-file gather.
+    constexpr double kBaselineMs = 145.3;
 
-    auto measure = [&](bool via_range, uint64_t seed) -> double {
+    auto measure = [&](uint64_t seed) -> double {
       BedSpec spec;
       spec.chunk_bytes = kChunkBytes;
-      spec.get_via_range_path = via_range;
       spec.seed = seed;
       StreamBed bed = MakeBed(spec);
       const Bytes content = MakeContent(kFileBytes, seed);
@@ -389,32 +392,20 @@ int main() {
       return elapsed;
     };
 
-    double legacy[3];
-    double ranged[3];
-    for (uint64_t r = 0; r < 3; ++r) {
-      legacy[r] = measure(/*via_range=*/false, 400 + r);
-      ranged[r] = measure(/*via_range=*/true, 400 + r);
-    }
-    const double legacy_ms = Median3(legacy[0], legacy[1], legacy[2]);
-    const double ranged_ms = Median3(ranged[0], ranged[1], ranged[2]);
-    const double overhead =
-        legacy_ms > 0 ? (ranged_ms - legacy_ms) / legacy_ms : 0.0;
-
-    std::printf("Phase 4: whole-file Get, range scheduler vs legacy gather\n");
-    std::printf("  legacy %7.1f ms | range path %7.1f ms | overhead %+.1f%%"
-                " (bar: <= 5%%)\n\n",
-                legacy_ms, ranged_ms, overhead * 100.0);
-    // 5% plus a small absolute slack so micro-runs don't fail on timer
-    // noise when both medians are a few milliseconds.
-    Bar(ranged_ms <= legacy_ms * 1.05 + 10.0,
-        "phase4: range-path whole-file Get more than 5% slower than legacy");
+    const double whole_ms = Median3(measure(400), measure(401), measure(402));
+    std::printf("Phase 4: whole-file Get of %llu MB\n",
+                static_cast<unsigned long long>(kFileBytes >> 20));
+    std::printf("  %7.1f ms | baseline %7.1f ms (bar: <= 5%% + 10 ms over it)\n\n",
+                whole_ms, kBaselineMs);
+    // The bed is unthrottled, so this is the client's own CPU time (mostly
+    // SHA-1) and moves with the host's speed; the 10 ms absorbs timer noise.
+    Bar(whole_ms <= kBaselineMs * 1.05 + 10.0,
+        "phase4: whole-file Get more than 5% slower than the baseline");
 
     JsonValue row{JsonValue::Object{}};
     row.Set("phase", "whole-file-ab");
     row.Set("file_bytes", kFileBytes);
-    row.Set("legacy_ms", legacy_ms);
-    row.Set("range_path_ms", ranged_ms);
-    row.Set("overhead_fraction", overhead);
+    row.Set("range_path_ms", whole_ms);
     report.AddRow(std::move(row));
   }
 

@@ -21,7 +21,7 @@
 #                                   #   the bench_streaming bars (range
 #                                   #   byte accounting, warm TTFB,
 #                                   #   readahead rebuffers, whole-file
-#                                   #   A/B parity)
+#                                   #   Get vs the committed baseline)
 #   scripts/check.sh --integrity    # + share-integrity tier (`ctest -L
 #                                   #   integrity`, also in the fast tier):
 #                                   #   per-share authentication, corrupt-
@@ -40,7 +40,9 @@
 #   scripts/check.sh --tsan         # ThreadSanitizer build of the stress
 #                                   #   battery + gateway concurrency tests
 #                                   #   + buffer-pool checkout + integrity
-#                                   #   gather/heal + codec stress loop +
+#                                   #   gather/heal + the chunk reader
+#                                   #   (Get + readahead + scrub on one
+#                                   #   client) + codec stress loop +
 #                                   #   concurrent metadata discovery in
 #                                   #   build-tsan/
 #
@@ -165,11 +167,11 @@ fi
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: stress battery + gateway concurrency under ThreadSanitizer =="
   configure build-tsan -DENABLE_TSAN=ON
-  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test codec_stress_test client_test
+  cmake --build build-tsan --parallel --target pipeline_stress_test thread_pool_test degraded_test gateway_test dedup_test buffer_pool_test chunk_cache_test integrity_test chunk_reader_test codec_stress_test client_test
   (cd build-tsan && ./tests/thread_pool_test && ./tests/pipeline_stress_test && ./tests/degraded_test &&
     ./tests/gateway_test && ./tests/dedup_test &&
     ./tests/buffer_pool_test && ./tests/chunk_cache_test &&
-    ./tests/integrity_test && ./tests/codec_stress_test &&
+    ./tests/integrity_test && ./tests/chunk_reader_test && ./tests/codec_stress_test &&
     ./tests/client_test --gtest_filter='ClientTest.DiscoveryIsTheSameOnBothSidesOfTheFanOutGate')
 fi
 

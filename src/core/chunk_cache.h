@@ -69,7 +69,7 @@ class ChunkCache {
   std::shared_ptr<const Bytes> Peek(const Sha1Digest& id) const;
 
   // Inserts decoded plaintext under `id`. `data` must hash to `id` (the
-  // caller just verified that in GatherChunk); the cache trusts it.
+  // ChunkReader just verified that); the cache trusts it.
   // Entries larger than a shard's budget are not cached. Re-inserting a
   // resident id refreshes its position but keeps the existing bytes.
   void Put(const Sha1Digest& id, std::shared_ptr<const Bytes> data);

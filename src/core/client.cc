@@ -202,7 +202,7 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
     if (hedge.metrics == nullptr) {
       hedge.metrics = metrics_;
     }
-    // Every in-flight GatherChunk blocks a transfer worker inside Fetch()
+    // Every in-flight chunk read blocks a transfer worker inside Fetch()
     // while its t primaries (plus any backups) run here, so the pool must
     // hold roughly concurrency * (t + hedges) downloads at once. Undersize
     // it and primaries queue behind a slow CSP's transfers: the queue wait
@@ -215,31 +215,46 @@ CyrusClient::CyrusClient(CyrusConfig config, Chunker chunker)
         2));
     fetcher_ = std::make_unique<HedgedFetcher>(hedge, hedge_pool_.get(), &monitor_);
   }
+  ChunkReaderContext reader_context;
+  reader_context.registry = &registry_;
+  reader_context.buffers = &codec_buffers_;
+  reader_context.pool = pool_.get();
+  reader_context.fetcher = fetcher_.get();
+  reader_context.key_string = config_.key_string;
+  reader_context.deriver = &deriver_;
+  reader_context.verify_share_digests = config_.verify_share_digests;
+  reader_ = std::make_unique<ChunkReader>(std::move(reader_context));
+  // Foreground reads feed every outcome into CSP health; readahead shares
+  // the hooks but never hedges, heals, or error-corrects - a background
+  // prefetch must not race the foreground path's repair writes.
+  get_policy_.retry = config_.transfer_retry;
+  get_policy_.on_transfer_failure = [this](int csp, const Status& status) {
+    (void)NoteTransferFailure(csp, status);
+  };
+  get_policy_.on_integrity_failure = [this](int csp) { (void)NoteIntegrityFailure(csp); };
+  get_policy_.on_share_ok = [this](int csp) { monitor_.RecordProbe(csp, now_, true); };
+  readahead_policy_ = get_policy_;
+  get_policy_.hedge = true;
+  get_policy_.heal = true;
+
   RepairContext repair_context;
-  repair_context.key_string = &config_.key_string;
+  repair_context.reader = reader_.get();
   repair_context.registry = &registry_;
   repair_context.ring = &ring_;
   repair_context.chunk_table = &chunk_table_;
   repair_context.monitor = &monitor_;
   repair_context.pool = pool_.get();
-  repair_context.buffers = config_.use_buffer_pool ? &codec_buffers_ : nullptr;
+  repair_context.buffers = &codec_buffers_;
   repair_context.cluster_aware = config_.cluster_aware;
-  repair_context.t = config_.t;
   repair_context.now = [this] { return now(); };
   repair_context.mark_csp_failed = [this](int csp) { return MarkCspFailed(csp); };
-  repair_context.current_n = [this] { return CurrentN(); };
-  // Convergent chunks decode under their unwrapped content key; the repair
-  // engine resolves per-chunk keys through this callback so it can rebuild
-  // both kinds. The share index (nullable) additionally enables its
-  // orphan-reclaim GC pass.
-  repair_context.share_index = config_.share_index;
-  repair_context.chunk_key = [this](const Sha1Digest& chunk_id,
-                                    const ChunkEntry& entry) -> Result<std::string> {
-    if (!entry.dedup) {
-      return config_.key_string;
-    }
-    return deriver_.UnwrapForUser(entry.wrapped_key, chunk_id);
+  repair_context.note_transfer_failure = [this](int csp, const Status& status) {
+    return NoteTransferFailure(csp, status);
   };
+  repair_context.current_n = [this] { return CurrentN(); };
+  // The share index (nullable) additionally enables the orphan-reclaim GC
+  // pass.
+  repair_context.share_index = config_.share_index;
 
   traces_ = config_.traces != nullptr ? config_.traces : &obs::TraceCollector::Default();
   repair_context.metrics = metrics_;
@@ -504,14 +519,8 @@ Status CyrusClient::NoteIntegrityFailure(int csp) {
 }
 
 void CyrusClient::AugmentRecordDigests(ChunkRecord& record) const {
-  const ChunkEntry* entry = chunk_table_.Find(record.id);
-  if (entry == nullptr) {
-    return;
-  }
-  for (const ChunkShare& share : entry->shares) {
-    if (share.has_digest() && record.FindShareDigest(share.share_index) == nullptr) {
-      record.SetShareDigest(share.share_index, share.digest);
-    }
+  if (const ChunkEntry* entry = chunk_table_.Find(record.id)) {
+    AdoptShareDigests(entry->shares, record);
   }
 }
 
@@ -592,26 +601,16 @@ Result<std::vector<ShareLocation>> CyrusClient::ScatterChunk(
   // Encode share i straight into a pooled, 32B-aligned upload buffer
   // (share index i is row i of the dispersal matrix). The handles live to
   // the end of the scatter - connectors read the spans during upload - and
-  // recycle through codec_buffers_ on return. With the pool disabled the
-  // legacy allocate-per-chunk Encode() path is used; both paths produce
-  // byte-identical shares (asserted by buffer_pool_test).
+  // recycle through codec_buffers_ on return.
   const size_t share_len = ShareSize(chunk.size(), codec.t());
   std::vector<PooledBuffer> share_buffers;
-  std::vector<Share> shares;
   std::vector<MutableByteSpan> share_spans(n);
-  if (config_.use_buffer_pool) {
-    share_buffers.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      share_buffers.push_back(codec_buffers_.Acquire(std::max<size_t>(share_len, 1)));
-      share_spans[i] = share_buffers[i].span(share_len);
-    }
-    CYRUS_RETURN_IF_ERROR(codec.EncodeInto(chunk, share_spans));
-  } else {
-    CYRUS_ASSIGN_OR_RETURN(shares, codec.Encode(chunk));
-    for (uint32_t i = 0; i < n; ++i) {
-      share_spans[i] = MutableByteSpan(shares[i].data);
-    }
+  share_buffers.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    share_buffers.push_back(codec_buffers_.Acquire(std::max<size_t>(share_len, 1)));
+    share_spans[i] = share_buffers[i].span(share_len);
   }
+  CYRUS_RETURN_IF_ERROR(codec.EncodeInto(chunk, share_spans));
   encode_span.End();
 
   obs::ScopedSpan place_span;
@@ -807,322 +806,63 @@ std::vector<ShareLocation> CyrusClient::ResolveChunkLocations(
   return locations;
 }
 
-Status CyrusClient::GatherChunk(const std::string& file_name,
-                                const ChunkRecord& chunk, MutableByteSpan dst,
-                                const std::vector<ShareLocation>& resolved,
-                                const std::vector<int>& selected_csps,
-                                std::vector<ShareLocation>& updated_shares,
-                                size_t& migrated, size_t& hedged_downloads,
-                                size_t& integrity_rejected,
-                                std::vector<ShareDigest>& upgraded_digests,
-                                TransferReport& report) {
-  if (dst.size() != chunk.size) {
-    return InvalidArgumentError("gather destination size mismatch");
-  }
-  // The driver resolved `resolved` before submitting this gather, so no
-  // pool thread ever reads the mutable FileVersion (its ShareMap is being
-  // rewritten on the driver as earlier chunks migrate).
-  std::vector<ShareLocation> locations = resolved;
-
-  auto location_state = [&](const ShareLocation& loc) {
-    auto state = registry_.state(loc.csp);
-    return state.ok() ? *state : CspState::kRemoved;
-  };
-
-  // Prefetch the optimizer-selected shares concurrently on the transfer
-  // pool (the synchronous fallback path below reuses these results).
-  std::map<int, Result<Bytes>> prefetched;
-  if (fetcher_ != nullptr) {
-    // Hedged path: the selector's picks run as primaries against adaptive
-    // per-CSP deadlines; remaining active locations are spares the fetcher
-    // may launch as backups (stragglers) or replacements (failures). The
-    // outcomes feed the same `prefetched` map the sequential consumption
-    // below already understands, so journaling stays consumed-only and
-    // losers never surface as TransferRecords.
-    std::vector<HedgeCandidate> candidates;
-    std::vector<int> candidate_csps;
-    std::set<int> covered;
-    auto add_candidate = [&](const ShareLocation& loc) {
-      auto conn = registry_.connector(loc.csp);
-      if (!conn.ok()) {
-        return;
-      }
-      HedgeCandidate candidate;
-      candidate.csp = loc.csp;
-      candidate.share_index = loc.share_index;
-      CloudConnector* raw = *conn;
-      const std::string object = ShareName(chunk.id, loc.share_index, chunk.t);
-      const RetryOptions retry = config_.transfer_retry;
-      candidate.fetch = [raw, object, retry]() -> Result<Bytes> {
-        return RetryWithBackoff(retry,
-                                [&]() -> Result<Bytes> { return raw->Download(object); });
-      };
-      candidates.push_back(std::move(candidate));
-      candidate_csps.push_back(loc.csp);
-      covered.insert(loc.csp);
-    };
-    for (int csp : selected_csps) {
-      for (const ShareLocation& loc : locations) {
-        if (loc.csp == csp && location_state(loc) == CspState::kActive) {
-          add_candidate(loc);
-          break;
-        }
-      }
-    }
-    const size_t primaries = candidates.size();
-    for (const ShareLocation& loc : locations) {
-      if (covered.count(loc.csp) == 0 && location_state(loc) == CspState::kActive) {
-        add_candidate(loc);
-      }
-    }
-    std::vector<HedgeFetchResult> outcomes =
-        fetcher_->Fetch(std::move(candidates), primaries, chunk.t);
-    for (HedgeFetchResult& outcome : outcomes) {
-      // Only hedges that delivered a share count here; launch totals
-      // (including failed backups and losers still in flight at return)
-      // live in the cyrus_hedged_requests_total counter.
-      if (outcome.hedged && outcome.data.ok()) {
-        ++hedged_downloads;
-      }
-      prefetched.emplace(candidate_csps[outcome.candidate], std::move(outcome.data));
-    }
-  } else {
-    std::vector<const ShareLocation*> to_fetch;
-    for (int csp : selected_csps) {
-      for (const ShareLocation& loc : locations) {
-        if (loc.csp == csp && location_state(loc) == CspState::kActive) {
-          to_fetch.push_back(&loc);
-          break;
-        }
-      }
-    }
-    if (pool_ != nullptr && to_fetch.size() > 1) {
-      std::vector<Result<Bytes>> results(to_fetch.size(),
-                                         InternalError("not fetched"));
-      pool_->ParallelFor(to_fetch.size(), [&](size_t k) {
-        auto conn = registry_.connector(to_fetch[k]->csp);
-        if (!conn.ok()) {
-          results[k] = conn.status();
-          return;
-        }
-        // Journaled once by try_download when the result is consumed.
-        results[k] = RetryWithBackoff(config_.transfer_retry, [&]() -> Result<Bytes> {
-          return (*conn)->Download(ShareName(chunk.id, to_fetch[k]->share_index,
-                                             chunk.t));
-        });
-      });
-      for (size_t k = 0; k < to_fetch.size(); ++k) {
-        prefetched.emplace(to_fetch[k]->csp, std::move(results[k]));
-      }
-    }
-  }
-
-  // Download t shares, preferring the optimizer's CSP choices.
-  std::vector<Share> shares;
-  std::set<int> attempted;
-  // Locations whose downloaded bytes failed digest authentication: the
-  // share is discarded *before* decode (a poisoned share would otherwise
-  // corrupt the reconstruction), the CSP is indicted, and the loops below
-  // top up from alternates - so the Get still succeeds whenever any t
-  // clean shares exist anywhere.
-  std::vector<ShareLocation> integrity_bad;
-  auto try_download = [&](const ShareLocation& loc) -> bool {
-    if (!attempted.insert(loc.csp).second) {
-      return false;
-    }
-    const std::string object = ShareName(chunk.id, loc.share_index, chunk.t);
-    Result<Bytes> data = InternalError("not fetched");
-    if (auto hit = prefetched.find(loc.csp); hit != prefetched.end()) {
-      data = std::move(hit->second);
-      prefetched.erase(hit);
-      report.records.push_back(TransferRecord{
-          TransferKind::kGet, loc.csp, object,
-          data.ok() ? data->size() : uint64_t{0}, data.ok()});
-    } else {
-      auto conn = registry_.connector(loc.csp);
-      if (!conn.ok()) {
-        return false;
-      }
-      data = DownloadWithRetry(**conn, TransferKind::kGet, loc.csp, object,
-                               config_.transfer_retry, report);
-    }
-    if (!data.ok()) {
-      // Only provider-indicting failures count against the CSP; a missing
-      // object is a metadata staleness problem, not an outage.
-      if (IsCspHealthFailure(data.status())) {
-        (void)NoteTransferFailure(loc.csp, data.status());
-      }
-      return false;
-    }
-    if (config_.verify_share_digests) {
-      if (const Sha1Digest* want = chunk.FindShareDigest(loc.share_index)) {
-        if (Sha1::Hash(*data) != *want) {
-          ++integrity_rejected;
-          integrity_bad.push_back(loc);
-          (void)NoteIntegrityFailure(loc.csp);
-          aggregator_.OnShareEvent(file_name, chunk.id, /*success=*/false);
-          return false;
-        }
-      }
-    }
-    monitor_.RecordProbe(loc.csp, now_, true);
-    shares.push_back(Share{loc.share_index, *std::move(data)});
-    aggregator_.OnShareEvent(file_name, chunk.id, /*success=*/true);
-    return true;
-  };
-
-  aggregator_.ExpectChunk(file_name, chunk.id, chunk.t);
-  if (fetcher_ != nullptr) {
-    // Consume the fetcher's wins before walking selector order: a backup
-    // that beat a straggling primary lives under a *spare* CSP, and the
-    // straggler itself has no map entry (it is still in flight). Walking
-    // selector order first would re-download the slow share inline and
-    // hand back the exact tail the hedge already paid to cut. Failed
-    // entries stay in the map for the loops below, whose try_download
-    // consumes them and indicts the CSP.
-    for (const ShareLocation& loc : locations) {
-      if (shares.size() >= chunk.t) {
-        break;
-      }
-      auto hit = prefetched.find(loc.csp);
-      if (hit != prefetched.end() && hit->second.ok() &&
-          location_state(loc) == CspState::kActive) {
-        (void)try_download(loc);
-      }
-    }
-  }
-  for (int csp : selected_csps) {
-    if (shares.size() >= chunk.t) {
-      break;
-    }
-    for (const ShareLocation& loc : locations) {
-      if (loc.csp == csp && location_state(loc) == CspState::kActive) {
-        (void)try_download(loc);
-        break;
-      }
-    }
-  }
-  // Fall back to any remaining active location if the optimizer's picks
-  // failed under us.
+std::vector<ChunkShare> CyrusClient::ReadOrder(
+    const ChunkRecord& chunk, const std::vector<ShareLocation>& locations,
+    const std::function<double(int csp)>& rank) const {
+  std::vector<std::pair<double, ChunkShare>> ranked;
   for (const ShareLocation& loc : locations) {
-    if (shares.size() >= chunk.t) {
-      break;
-    }
-    if (location_state(loc) == CspState::kActive) {
-      (void)try_download(loc);
-    }
+    const Sha1Digest* digest = chunk.FindShareDigest(loc.share_index);
+    ranked.emplace_back(rank(loc.csp), ChunkShare{loc.share_index, loc.csp,
+                                                  digest != nullptr ? *digest : Sha1Digest{}});
   }
-  if (shares.size() < chunk.t) {
-    if (!integrity_bad.empty()) {
-      return IntegrityError(StrCat(
-          "chunk ", chunk.id.ToHex(), ": only ", shares.size(), " of t=",
-          chunk.t, " shares authenticated (", integrity_bad.size(),
-          " failed share digest checks)"));
-    }
-    return DataLossError(StrCat("chunk ", chunk.id.ToHex(), ": only ", shares.size(),
-                                " of t=", chunk.t, " shares reachable"));
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<ChunkShare> order;
+  for (const auto& [unused_rank, share] : ranked) {
+    order.push_back(share);
   }
+  return order;
+}
 
-  // Dedup chunks were dispersed under their content key; unwrap it with
-  // the user key (reads never touch the deployment salt or the index).
-  std::string decode_key = config_.key_string;
-  if (chunk.dedup) {
-    CYRUS_ASSIGN_OR_RETURN(decode_key,
-                           deriver_.UnwrapForUser(chunk.wrapped_key, chunk.id));
-  }
-  CYRUS_ASSIGN_OR_RETURN(
-      SecretSharingCodec decoder,
-      SecretSharingCodec::Create(decode_key, chunk.t, kMaxShares));
-  // Re-encoded shares (corruption repair, lazy migration) go through the
-  // same pooled buffers the scatter path uploads from.
-  const size_t share_len = ShareSize(chunk.size, chunk.t);
-  Bytes scratch_heap;
-  auto acquire_share_buf = [&](PooledBuffer& handle) -> MutableByteSpan {
-    if (config_.use_buffer_pool) {
-      handle = codec_buffers_.Acquire(std::max<size_t>(share_len, 1));
-      return handle.span(share_len);
-    }
-    scratch_heap.assign(share_len, 0);
-    return MutableByteSpan(scratch_heap);
+Status CyrusClient::ReadChunk(const std::string& file_name, ChunkFetch& fetch) {
+  const ChunkRecord& chunk = fetch.chunk;
+  aggregator_.ExpectChunk(file_name, chunk.id, chunk.t);
+  // The download selector's CSPs first, in its order.
+  const std::vector<int>& selected = fetch.selected;
+  auto selector_rank = [&](int csp) {
+    return static_cast<double>(std::find(selected.begin(), selected.end(), csp) -
+                               selected.begin());
   };
-  // Overwrites the share at `loc` with freshly encoded bytes from the
-  // verified plaintext in dst (uploads are idempotent overwrites under the
-  // content-addressed name). Best effort: a failed heal is the scrub
-  // engine's problem, not this Get's.
-  size_t healed = 0;
-  auto heal_share = [&](const ShareLocation& loc) {
-    if (location_state(loc) != CspState::kActive) {
-      return;
-    }
-    PooledBuffer fresh_buf;
-    MutableByteSpan fresh = acquire_share_buf(fresh_buf);
-    auto encoded = decoder.EncodeShareInto(dst, loc.share_index, fresh);
-    auto conn = registry_.connector(loc.csp);
-    if (encoded.ok() && conn.ok()) {
-      const std::string object = ShareName(chunk.id, loc.share_index, chunk.t);
-      if (UploadWithRetry(**conn, TransferKind::kPut, loc.csp, object, fresh,
-                          config_.transfer_retry, report)
-              .ok()) {
-        ++healed;
-      }
-    }
-  };
-
-  bool decode_corrected = false;
-  CYRUS_RETURN_IF_ERROR(decoder.DecodeInto(shares, dst));
-  if (Sha1::Hash(dst) != chunk.id) {
-    // A share is corrupted (bit rot or a tampering provider) and the
-    // record predates per-share digests, so the bad share could not be
-    // screened out up front. Pull every reachable share and run the
-    // error-correcting decode (§5.1 footnote 9): the exhaustive t-subset
-    // search both recovers the plaintext and *identifies* the corrupt
-    // indices - the combinatorial fallback that lets legacy metadata be
-    // upgraded in place below.
-    decode_corrected = true;
-    for (const ShareLocation& loc : locations) {
-      if (location_state(loc) == CspState::kActive) {
-        (void)try_download(loc);
-      }
-    }
-    auto corrected = decoder.DecodeWithErrorCorrection(shares, chunk.size);
-    if (!corrected.ok() || Sha1::Hash(corrected->chunk) != chunk.id) {
-      return IntegrityError(StrCat("chunk ", chunk.id.ToHex(),
-                                   " failed integrity check after decode"));
-    }
-    std::copy(corrected->chunk.begin(), corrected->chunk.end(), dst.begin());
-    // Repair: overwrite each corrupted share with freshly encoded bytes at
-    // its existing location.
-    for (uint32_t bad_index : corrected->corrupted_indices) {
-      for (const ShareLocation& loc : locations) {
-        if (loc.share_index == bad_index) {
-          heal_share(loc);
-          break;
-        }
-      }
-    }
+  ChunkRead read = reader_->FetchAuthenticated(
+      chunk, ReadOrder(chunk, fetch.locations, selector_rank), chunk.t, get_policy_);
+  const Status decoded = reader_->Reconstruct(chunk, read, fetch.dst, get_policy_);
+  for (size_t i = 0; i < read.shares.size() + read.rejected.size(); ++i) {
+    aggregator_.OnShareEvent(file_name, chunk.id, /*success=*/i < read.shares.size());
   }
-  // Shares the digest check rejected pre-decode are healed in place from
-  // the now-verified plaintext, so a transiently-corrupting CSP stops
-  // poisoning future reads (a persistently-lying one is quarantined by
-  // NoteIntegrityFailure regardless of what this write does).
-  for (const ShareLocation& loc : integrity_bad) {
-    heal_share(loc);
-  }
-  if (healed > 0) {
-    integrity_shares_healed_->Increment(healed);
+  fetch.hedged = read.hedged;
+  fetch.integrity_rejected = read.rejected.size();
+  fetch.digests = std::move(read.digests);
+  fetch.report = std::move(read.report);
+  CYRUS_RETURN_IF_ERROR(decoded);
+  if (read.healed > 0) {
+    integrity_shares_healed_->Increment(read.healed);
   }
 
   // Lazy share migration (paper §5.5, Figure 9): regenerate shares whose
   // CSP is failed or removed and place them on fresh CSPs.
-  std::vector<ShareLocation> repaired = locations;
-  for (ShareLocation& loc : repaired) {
-    if (location_state(loc) == CspState::kActive) {
+  auto active = [&](int csp) {
+    auto state = registry_.state(csp);
+    return state.ok() && *state == CspState::kActive;
+  };
+  const size_t share_len = ShareSize(chunk.size, chunk.t);
+  for (ShareLocation& loc : fetch.locations) {
+    if (active(loc.csp)) {
       continue;
     }
     std::vector<int> exclude;
     uint32_t max_index = 0;
-    for (const ShareLocation& l : repaired) {
-      if (location_state(l) == CspState::kActive) {
+    for (const ShareLocation& l : fetch.locations) {
+      if (active(l.csp)) {
         exclude.push_back(l.csp);
       }
       max_index = std::max(max_index, l.share_index);
@@ -1135,54 +875,28 @@ Status CyrusClient::GatherChunk(const std::string& file_name,
     if (new_index >= kMaxShares) {
       continue;
     }
-    PooledBuffer fresh_buf;
-    MutableByteSpan fresh = acquire_share_buf(fresh_buf);
-    CYRUS_RETURN_IF_ERROR(decoder.EncodeShareInto(dst, new_index, fresh));
+    PooledBuffer fresh_buf = codec_buffers_.Acquire(std::max<size_t>(share_len, 1));
+    const MutableByteSpan fresh = fresh_buf.span(share_len);
+    CYRUS_RETURN_IF_ERROR(read.codec->EncodeShareInto(fetch.dst, new_index, fresh));
     const int target = replacement->front();
     CYRUS_ASSIGN_OR_RETURN(CloudConnector * conn, registry_.connector(target));
     const std::string object = ShareName(chunk.id, new_index, chunk.t);
-    Status upload = UploadWithRetry(*conn, TransferKind::kPut, target, object,
-                                    fresh, config_.transfer_retry, report);
+    Status upload = UploadWithRetry(*conn, TransferKind::kPut, target, object, fresh,
+                                    config_.transfer_retry, fetch.report);
     if (!upload.ok()) {
       (void)NoteTransferFailure(target, upload);
       continue;
     }
-    const int32_t old_csp = loc.csp;
-    const uint32_t old_index = loc.share_index;
+    const Sha1Digest digest = Sha1::Hash(fresh);
+    (void)chunk_table_.MoveShare(chunk.id, loc.csp, loc.share_index, target, new_index,
+                                 digest);
+    if (config_.verify_share_digests) {
+      fetch.digests.push_back(ShareDigest{new_index, digest});
+    }
     loc.csp = target;
     loc.share_index = new_index;
-    (void)chunk_table_.MoveShare(chunk.id, old_csp, old_index, target, new_index,
-                                 Sha1::Hash(fresh));
-    ++migrated;
+    ++fetch.migrated;
   }
-
-  // Digest bookkeeping: whenever this gather changed what the CSPs store
-  // (healed or migrated shares) or the record predates per-share digests,
-  // derive the authoritative digest set from the verified plaintext -
-  // share bytes are a pure function of (chunk, key, index), so re-encoding
-  // reproduces exactly what a clean provider holds. The chunk table is
-  // updated here (same distinct-entry contract as MoveShare above); the
-  // caller folds `upgraded_digests` into the version's ChunkRecord on the
-  // driver and republishes the metadata.
-  if (config_.verify_share_digests &&
-      (chunk.share_digests.empty() || migrated > 0 || healed > 0 ||
-       decode_corrected)) {
-    std::set<uint32_t> indices;
-    for (const ShareLocation& loc : repaired) {
-      indices.insert(loc.share_index);
-    }
-    for (uint32_t index : indices) {
-      PooledBuffer buf;
-      MutableByteSpan span = acquire_share_buf(buf);
-      if (!decoder.EncodeShareInto(dst, index, span).ok()) {
-        continue;
-      }
-      const Sha1Digest digest = Sha1::Hash(span);
-      upgraded_digests.push_back(ShareDigest{index, digest});
-      (void)chunk_table_.SetShareDigest(chunk.id, index, digest);
-    }
-  }
-  updated_shares = std::move(repaired);
   return OkStatus();
 }
 
@@ -2039,11 +1753,9 @@ Result<GetResult> CyrusClient::Get(std::string_view name) {
   CYRUS_ASSIGN_OR_RETURN(const FileVersion* newest,
                          NewestLiveHead(tree_, name, &live));
 
-  Result<GetResult> body =
-      config_.get_via_range_path
-          ? GetRangeTraced(name, newest->id, 0, 0, /*whole_file=*/true, trace)
-          : GetFullFileLegacy(name, newest->id, trace);
-  CYRUS_ASSIGN_OR_RETURN(GetResult result, std::move(body));
+  CYRUS_ASSIGN_OR_RETURN(
+      GetResult result,
+      GetRangeTraced(name, newest->id, 0, 0, /*whole_file=*/true, trace));
   AnnotateConflicts(live, name, result);
   return result;
 }
@@ -2053,10 +1765,7 @@ Result<GetResult> CyrusClient::GetVersion(std::string_view name,
   gets_total_->Increment();
   LatencyRecorder latency(get_latency_ms_);
   obs::TraceBuilder trace(traces_, "GetVersion", std::string(name));
-  if (config_.get_via_range_path) {
-    return GetRangeTraced(name, version_id, 0, 0, /*whole_file=*/true, trace);
-  }
-  return GetFullFileLegacy(name, version_id, trace);
+  return GetRangeTraced(name, version_id, 0, 0, /*whole_file=*/true, trace);
 }
 
 Result<GetResult> CyrusClient::GetRange(std::string_view name, uint64_t offset,
@@ -2082,218 +1791,6 @@ Result<GetResult> CyrusClient::GetRange(std::string_view name, uint64_t offset,
     MaybeScheduleReadahead(std::string(name), *version, result.range_offset,
                            result.content.size());
   }
-  return result;
-}
-
-Result<GetResult> CyrusClient::GetFullFileLegacy(std::string_view name,
-                                                 const Sha1Digest& version_id,
-                                                 obs::TraceBuilder& trace) {
-  const FileVersion* version = tree_.Find(version_id);
-  if (version == nullptr || version->file_name != name) {
-    return NotFoundError(StrCat("no version ", version_id.ToHex(), " of ", name));
-  }
-
-  GetResult result;
-  result.version_id = version_id;
-  result.file_size = version->size;
-
-  // Build the download problem over *unique* chunks (duplicates within the
-  // file are copied from the first occurrence's slice after the drain).
-  // The whole file is allocated up front and every unique chunk decodes
-  // directly into its slice (GatherChunk -> DecodeInto), so Get skips the
-  // per-chunk temporaries and the assemble copy. Geometry is validated
-  // before any slice is handed to a worker.
-  obs::ScopedSpan select_span = trace.Span("select");
-  std::vector<Sha1Digest> unique_ids;
-  std::map<Sha1Digest, const ChunkRecord*> by_id;
-  std::map<Sha1Digest, uint64_t> first_offset;
-  result.content.assign(version->size, 0);
-  for (const ChunkRecord& chunk : version->chunks) {
-    if (chunk.offset + chunk.size > result.content.size()) {
-      return DataLossError(StrCat(name, ": chunk geometry mismatch"));
-    }
-    if (by_id.emplace(chunk.id, &chunk).second) {
-      unique_ids.push_back(chunk.id);
-      first_offset.emplace(chunk.id, chunk.offset);
-    }
-  }
-
-  DownloadProblem problem;
-  problem.t = config_.t;
-  problem.client_bandwidth = config_.client_downlink_bytes_per_sec;
-  for (size_t i = 0; i < registry_.size(); ++i) {
-    auto profile = registry_.profile(static_cast<int>(i));
-    problem.csp_bandwidth.push_back(profile.ok() ? profile->download_bytes_per_sec
-                                                 : 1.0);
-  }
-  bool optimizable = true;
-  for (const Sha1Digest& id : unique_ids) {
-    const ChunkRecord* chunk = by_id[id];
-    if (chunk->t != config_.t) {
-      optimizable = false;  // mixed thresholds: fall back to direct gather
-    }
-    DownloadChunk dc;
-    dc.share_bytes = static_cast<double>(ShareSize(chunk->size, chunk->t));
-    const std::vector<ShareLocation> locations = ResolveChunkLocations(*version, id);
-    std::set<int> active_holders;
-    for (const ShareLocation& loc : locations) {
-      auto state = registry_.state(loc.csp);
-      if (state.ok() && *state == CspState::kActive) {
-        active_holders.insert(loc.csp);
-      }
-    }
-    dc.stored_at.assign(active_holders.begin(), active_holders.end());
-    problem.chunks.push_back(std::move(dc));
-  }
-
-  // Optimized downlink selection (Algorithm 1); on infeasibility (e.g. too
-  // few active holders) GatherChunk's fallback path still tries everything.
-  std::vector<std::vector<int>> selections(unique_ids.size());
-  if (optimizable) {
-    auto assignment = selector_->Select(problem);
-    if (assignment.ok()) {
-      selections = assignment->selected;
-    }
-  }
-  select_span.End();
-
-  // Pipelined gather, mirroring Put: chunk i+1 downloads and decodes on
-  // the pool while chunk i's result is book-kept in order on this thread.
-  // Each slot carries driver-resolved share locations so workers never
-  // read the mutable FileVersion; migration merges happen per-slot in
-  // on_complete, where the slot's own migrations are folded into the
-  // version's ShareMap before the next completion is delivered.
-  obs::ScopedSpan gather_span = trace.Span("gather");
-  struct GatherSlot {
-    ChunkRecord chunk;
-    MutableByteSpan dst;  // the chunk's slice of result.content
-    std::vector<ShareLocation> locations;
-    std::vector<int> selected;
-    Status status = InternalError("not gathered");
-    std::vector<ShareLocation> updated;
-    size_t migrated = 0;
-    size_t hedged = 0;
-    size_t integrity_rejected = 0;
-    std::vector<ShareDigest> upgraded;
-    TransferReport report;
-  };
-  std::list<GatherSlot> slots;  // stable addresses; outlives the pipeline
-  const std::string file_name(version->file_name);
-  OrderedPipeline::Options window;
-  window.max_in_flight = pipeline_window();
-  window.max_in_flight_bytes = config_.pipeline_window_bytes;
-  OrderedPipeline pipeline(pool_.get(), window);
-
-  Status pipeline_status;
-  size_t digest_republish = 0;  // chunks whose version record gained digests
-  for (size_t i = 0; i < unique_ids.size(); ++i) {
-    slots.emplace_back();
-    GatherSlot* slot = &slots.back();
-    slot->chunk = *by_id[unique_ids[i]];
-    // A record synced from v1/v2 metadata carries no digests; the chunk
-    // table may have them (a Put or an earlier upgrade recorded them), and
-    // workers must not read it, so merge here on the driver.
-    AugmentRecordDigests(slot->chunk);
-    slot->dst = MutableByteSpan(result.content.data() + slot->chunk.offset,
-                                slot->chunk.size);
-    slot->locations = ResolveChunkLocations(*version, unique_ids[i]);
-    slot->selected = selections[i];
-
-    auto work = [this, slot, &file_name] {
-      slot->status = GatherChunk(file_name, slot->chunk, slot->dst,
-                                 slot->locations, slot->selected, slot->updated,
-                                 slot->migrated, slot->hedged,
-                                 slot->integrity_rejected, slot->upgraded,
-                                 slot->report);
-    };
-    auto on_complete = [this, slot, &version, &version_id, &result,
-                        &gather_span, &digest_republish]() -> Status {
-      result.transfer.Append(slot->report);
-      result.hedged_downloads += slot->hedged;
-      result.integrity_rejected_shares += slot->integrity_rejected;
-      CYRUS_RETURN_IF_ERROR(slot->status);
-      chunks_gathered_->Increment();
-      ++result.chunks_decoded;
-      gather_span.AddBytes(slot->chunk.size);
-
-      // Persist this chunk's migrations into the version's ShareMap (the
-      // metadata republish happens once, after the drain).
-      if (slot->migrated > 0) {
-        result.migrated_shares += slot->migrated;
-        std::vector<ShareLocation> merged;
-        for (const ShareLocation& loc : version->shares) {
-          if (loc.chunk_id != slot->chunk.id) {
-            merged.push_back(loc);
-          }
-        }
-        merged.insert(merged.end(), slot->updated.begin(), slot->updated.end());
-        CYRUS_RETURN_IF_ERROR(
-            tree_.UpdateShareLocations(version->id, std::move(merged)));
-        version = tree_.Find(version_id);  // re-resolve after mutation
-      }
-      // Fold freshly derived per-share digests into the version's
-      // ChunkRecord (legacy upgrade, or new digests minted by healing /
-      // migration) so the republished metadata authenticates future reads.
-      if (!slot->upgraded.empty()) {
-        if (slot->chunk.share_digests.empty()) {
-          ++result.digest_upgraded_chunks;
-          integrity_records_upgraded_->Increment();
-        }
-        ++digest_republish;
-        CYRUS_RETURN_IF_ERROR(tree_.UpdateChunkShareDigests(
-            version->id, slot->chunk.id, slot->upgraded));
-        version = tree_.Find(version_id);  // re-resolve after mutation
-      }
-      if ((slot->migrated > 0 || !slot->upgraded.empty()) &&
-          slot->chunk.dedup && config_.share_index != nullptr) {
-        // Keep the cross-user layout current so the next writer's dedup
-        // hit points at the migrated shares, not the dead CSP. Best
-        // effort: a missed update self-heals on that writer's repair.
-        if (const ChunkEntry* moved = chunk_table_.Find(slot->chunk.id)) {
-          (void)config_.share_index->ReplaceShares(slot->chunk.id,
-                                                   moved->shares);
-        }
-      }
-      return OkStatus();
-    };
-    pipeline_status = pipeline.Submit(slot->chunk.size, std::move(work),
-                                      std::move(on_complete));
-    if (!pipeline_status.ok()) {
-      break;
-    }
-  }
-  {
-    obs::ScopedSpan drain_span = trace.Span("pipeline_drain");
-    const Status drained = pipeline.Drain();
-    if (pipeline_status.ok()) {
-      pipeline_status = drained;
-    }
-  }
-  CYRUS_RETURN_IF_ERROR(pipeline_status);
-  gather_span.End();
-  if (result.migrated_shares > 0 || digest_republish > 0) {
-    shares_migrated_->Increment(result.migrated_shares);
-    obs::ScopedSpan republish_span = trace.Span("republish_meta");
-    TransferReport meta_report;
-    CYRUS_RETURN_IF_ERROR(UploadMetadata(*version, meta_report));
-    result.transfer.Append(meta_report);
-  }
-
-  // Unique chunks already decoded in place; fill duplicate occurrences from
-  // their first slice, then verify the whole file.
-  obs::ScopedSpan assemble_span = trace.Span("assemble");
-  for (const ChunkRecord& chunk : version->chunks) {
-    const uint64_t src = first_offset.at(chunk.id);
-    if (chunk.offset != src) {
-      std::copy_n(result.content.begin() + src, chunk.size,
-                  result.content.begin() + chunk.offset);
-    }
-  }
-  if (Sha1::Hash(result.content) != version->content_id) {
-    return DataLossError(StrCat(name, ": reassembled content fails integrity check"));
-  }
-  assemble_span.End();
-  RecordTransferMetrics(result.transfer, metrics_);
   return result;
 }
 
@@ -2383,7 +1880,8 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   }
 
   // Optimized downlink selection over the chunks that actually need the
-  // network (Algorithm 1), exactly as in the whole-file path.
+  // network (Algorithm 1); on infeasibility (e.g. too few active holders)
+  // the reader still tries every active location.
   DownloadProblem problem;
   problem.t = config_.t;
   problem.client_bandwidth = config_.client_downlink_bytes_per_sec;
@@ -2392,17 +1890,29 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     problem.csp_bandwidth.push_back(profile.ok() ? profile->download_bytes_per_sec
                                                  : 1.0);
   }
+  // One slot per chunk to read; stable addresses, outliving the pipeline.
+  std::list<ChunkFetch> slots;
   bool optimizable = true;
   for (const Sha1Digest& id : to_gather) {
-    const ChunkRecord* chunk = by_id.at(id);
-    if (chunk->t != config_.t) {
-      optimizable = false;
+    ChunkFetch& slot = slots.emplace_back();
+    slot.chunk = *by_id.at(id);
+    // A record synced from v1/v2 metadata carries no digests; the chunk
+    // table may have them (a Put or an earlier upgrade recorded them), and
+    // workers must not read it, so merge here on the driver.
+    AugmentRecordDigests(slot.chunk);
+    if (whole_file) {
+      slot.dst =
+          MutableByteSpan(result.content.data() + slot.chunk.offset, slot.chunk.size);
+    } else {
+      slot.buffer = std::make_shared<Bytes>(slot.chunk.size);
+      slot.dst = MutableByteSpan(*slot.buffer);
     }
+    slot.locations = ResolveChunkLocations(*version, id);
+    optimizable = optimizable && slot.chunk.t == config_.t;
     DownloadChunk dc;
-    dc.share_bytes = static_cast<double>(ShareSize(chunk->size, chunk->t));
-    const std::vector<ShareLocation> locations = ResolveChunkLocations(*version, id);
+    dc.share_bytes = static_cast<double>(ShareSize(slot.chunk.size, slot.chunk.t));
     std::set<int> active_holders;
-    for (const ShareLocation& loc : locations) {
+    for (const ShareLocation& loc : slot.locations) {
       auto state = registry_.state(loc.csp);
       if (state.ok() && *state == CspState::kActive) {
         active_holders.insert(loc.csp);
@@ -2411,38 +1921,26 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
     dc.stored_at.assign(active_holders.begin(), active_holders.end());
     problem.chunks.push_back(std::move(dc));
   }
-  std::vector<std::vector<int>> selections(to_gather.size());
   if (optimizable) {
-    auto assignment = selector_->Select(problem);
-    if (assignment.ok()) {
-      selections = assignment->selected;
+    if (auto assignment = selector_->Select(problem); assignment.ok()) {
+      auto selected = assignment->selected.begin();
+      for (ChunkFetch& slot : slots) {
+        slot.selected = std::move(*selected++);
+      }
     }
   }
   select_span.End();
 
-  // Pipelined gather of the misses. The range path decodes each chunk into
-  // a fresh cache-owned buffer (inserted on completion, overlap copied to
-  // the result); the whole-file path keeps the zero-copy decode straight
-  // into the result slice and does NOT populate the cache - one large
-  // download must not flush a streaming working set. Fragment scheduling:
-  // a range Get caps the window at max_resident_chunks decoded buffers so
-  // memory stays bounded regardless of span length.
+  // Pipelined gather of the misses, mirroring Put: chunk i+1 downloads and
+  // decodes on the pool while chunk i's result is book-kept in order on
+  // this thread. The range path decodes each chunk into a fresh
+  // cache-owned buffer (inserted on completion, overlap copied to the
+  // result); the whole-file path decodes straight into the result slice
+  // and does NOT populate the cache - one large download must not flush a
+  // streaming working set. Fragment scheduling: a range Get caps the
+  // window at max_resident_chunks decoded buffers so memory stays bounded
+  // regardless of span length.
   obs::ScopedSpan gather_span = trace.Span("gather");
-  struct GatherSlot {
-    ChunkRecord chunk;
-    std::shared_ptr<Bytes> buffer;  // range path only
-    MutableByteSpan dst;
-    std::vector<ShareLocation> locations;
-    std::vector<int> selected;
-    Status status = InternalError("not gathered");
-    std::vector<ShareLocation> updated;
-    size_t migrated = 0;
-    size_t hedged = 0;
-    size_t integrity_rejected = 0;
-    std::vector<ShareDigest> upgraded;
-    TransferReport report;
-  };
-  std::list<GatherSlot> slots;  // stable addresses; outlives the pipeline
   const std::string file_name(version->file_name);
   OrderedPipeline::Options window;
   window.max_in_flight = pipeline_window();
@@ -2455,30 +1953,9 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
 
   Status pipeline_status;
   size_t digest_republish = 0;  // chunks whose version record gained digests
-  for (size_t i = 0; i < to_gather.size(); ++i) {
-    slots.emplace_back();
-    GatherSlot* slot = &slots.back();
-    slot->chunk = *by_id.at(to_gather[i]);
-    // Merge chunk-table digests into the worker's record copy (see the
-    // legacy path): workers authenticate against the record alone.
-    AugmentRecordDigests(slot->chunk);
-    if (whole_file) {
-      slot->dst = MutableByteSpan(result.content.data() + slot->chunk.offset,
-                                  slot->chunk.size);
-    } else {
-      slot->buffer = std::make_shared<Bytes>(slot->chunk.size);
-      slot->dst = MutableByteSpan(*slot->buffer);
-    }
-    slot->locations = ResolveChunkLocations(*version, slot->chunk.id);
-    slot->selected = selections[i];
-
-    auto work = [this, slot, &file_name] {
-      slot->status = GatherChunk(file_name, slot->chunk, slot->dst,
-                                 slot->locations, slot->selected, slot->updated,
-                                 slot->migrated, slot->hedged,
-                                 slot->integrity_rejected, slot->upgraded,
-                                 slot->report);
-    };
+  for (ChunkFetch& fetch : slots) {
+    ChunkFetch* slot = &fetch;
+    auto work = [this, slot, &file_name] { slot->status = ReadChunk(file_name, *slot); };
     auto on_complete = [this, slot, &version, &version_id, &result, &gather_span,
                         &resident, &dup_ids, &copy_overlap, &digest_republish,
                         whole_file]() -> Status {
@@ -2500,25 +1977,32 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
             merged.push_back(loc);
           }
         }
-        merged.insert(merged.end(), slot->updated.begin(), slot->updated.end());
+        merged.insert(merged.end(), slot->locations.begin(), slot->locations.end());
         CYRUS_RETURN_IF_ERROR(
             tree_.UpdateShareLocations(version->id, std::move(merged)));
         version = tree_.Find(version_id);  // re-resolve after mutation
       }
-      // Fold freshly derived per-share digests into the version's
-      // ChunkRecord so the republished metadata authenticates future reads.
-      if (!slot->upgraded.empty()) {
+      // Fold freshly derived per-share digests into the chunk table and the
+      // version's ChunkRecord (legacy upgrade, or digests minted by healing
+      // / migration) so the republished metadata authenticates future reads.
+      if (!slot->digests.empty()) {
         if (slot->chunk.share_digests.empty()) {
           ++result.digest_upgraded_chunks;
           integrity_records_upgraded_->Increment();
         }
         ++digest_republish;
+        for (const ShareDigest& sd : slot->digests) {
+          (void)chunk_table_.SetShareDigest(slot->chunk.id, sd.share_index, sd.digest);
+        }
         CYRUS_RETURN_IF_ERROR(tree_.UpdateChunkShareDigests(
-            version->id, slot->chunk.id, slot->upgraded));
+            version->id, slot->chunk.id, slot->digests));
         version = tree_.Find(version_id);  // re-resolve after mutation
       }
-      if ((slot->migrated > 0 || !slot->upgraded.empty()) &&
+      if ((slot->migrated > 0 || !slot->digests.empty()) &&
           slot->chunk.dedup && config_.share_index != nullptr) {
+        // Keep the cross-user layout current so the next writer's dedup
+        // hit points at the migrated shares, not the dead CSP. Best
+        // effort: a missed update self-heals on that writer's repair.
         if (const ChunkEntry* moved = chunk_table_.Find(slot->chunk.id)) {
           (void)config_.share_index->ReplaceShares(slot->chunk.id,
                                                    moved->shares);
@@ -2592,88 +2076,6 @@ Result<GetResult> CyrusClient::GetRangeTraced(std::string_view name,
   return result;
 }
 
-Status CyrusClient::FetchChunkForCache(const ChunkRecord& chunk,
-                                       const std::vector<ShareLocation>& locations,
-                                       Bytes* out) {
-  // Fastest links first: a prefetch that waits on the slowest CSP arrives
-  // after the reader does, which defeats the point of readahead. (The
-  // foreground gather gets the full optimizing selector; this lean path
-  // just sorts by the profiled downlink.)
-  std::vector<ShareLocation> ordered(locations);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [this](const ShareLocation& a, const ShareLocation& b) {
-                     auto pa = registry_.profile(a.csp);
-                     auto pb = registry_.profile(b.csp);
-                     const double ra = pa.ok() ? pa->download_bytes_per_sec : 0.0;
-                     const double rb = pb.ok() ? pb->download_bytes_per_sec : 0.0;
-                     return ra > rb;
-                   });
-  std::vector<Share> shares;
-  std::set<int> attempted;
-  TransferReport report;
-  for (const ShareLocation& loc : ordered) {
-    if (shares.size() >= chunk.t) {
-      break;
-    }
-    if (!attempted.insert(loc.csp).second) {
-      continue;
-    }
-    auto state = registry_.state(loc.csp);
-    if (!state.ok() || *state != CspState::kActive) {
-      continue;
-    }
-    auto conn = registry_.connector(loc.csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    Result<Bytes> data =
-        DownloadWithRetry(**conn, TransferKind::kGet, loc.csp,
-                          ShareName(chunk.id, loc.share_index, chunk.t),
-                          config_.transfer_retry, report);
-    if (!data.ok()) {
-      if (IsCspHealthFailure(data.status())) {
-        (void)NoteTransferFailure(loc.csp, data.status());
-      }
-      continue;
-    }
-    if (config_.verify_share_digests) {
-      if (const Sha1Digest* want = chunk.FindShareDigest(loc.share_index)) {
-        if (Sha1::Hash(*data) != *want) {
-          // Discard and indict, but no healing here: the background path
-          // must never race the foreground gather's repair writes.
-          (void)NoteIntegrityFailure(loc.csp);
-          continue;
-        }
-      }
-    }
-    monitor_.RecordProbe(loc.csp, now_, true);
-    shares.push_back(Share{loc.share_index, *std::move(data)});
-  }
-  if (shares.size() < chunk.t) {
-    return UnavailableError(StrCat("readahead chunk ", chunk.id.ToHex(),
-                                   ": only ", shares.size(), " of t=", chunk.t,
-                                   " shares reachable"));
-  }
-  std::string decode_key = config_.key_string;
-  if (chunk.dedup) {
-    CYRUS_ASSIGN_OR_RETURN(decode_key,
-                           deriver_.UnwrapForUser(chunk.wrapped_key, chunk.id));
-  }
-  CYRUS_ASSIGN_OR_RETURN(
-      SecretSharingCodec decoder,
-      SecretSharingCodec::Create(decode_key, chunk.t, kMaxShares));
-  out->assign(chunk.size, 0);
-  CYRUS_RETURN_IF_ERROR(decoder.DecodeInto(shares, MutableByteSpan(*out)));
-  if (Sha1::Hash(*out) != chunk.id) {
-    // No error correction on the background path: the next foreground
-    // gather of this chunk runs the full repair machinery.
-    return DataLossError(StrCat("readahead chunk ", chunk.id.ToHex(),
-                                " failed integrity check"));
-  }
-  RecordTransferMetrics(report, metrics_);
-  return OkStatus();
-}
-
 void CyrusClient::MaybeScheduleReadahead(const std::string& name,
                                          const FileVersion& version,
                                          uint64_t offset, uint64_t len) {
@@ -2725,12 +2127,23 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       ++readahead_active_;
     }
     picked.insert(chunk.id);
-    picks.push_back(Prefetch{chunk, ResolveChunkLocations(version, chunk.id)});
+    ChunkRecord record = chunk;
+    AugmentRecordDigests(record);
+    picks.push_back(Prefetch{std::move(record), ResolveChunkLocations(version, chunk.id)});
   }
+  // Fastest links first: a prefetch that waits on the slowest CSP arrives
+  // after the reader does, which defeats the point of readahead. (The
+  // foreground read gets the full optimizing selector; a prefetch just
+  // sorts by the profiled downlink, on the pool, off the reader's path.)
+  auto fastest_first = [this](int csp) {
+    auto profile = registry_.profile(csp);
+    return profile.ok() ? -profile->download_bytes_per_sec : 0.0;
+  };
 
   for (Prefetch& pick : picks) {
     readahead_issued_->Increment();
-    pool_->SubmitBackground([this, name, generation, pick = std::move(pick)] {
+    pool_->SubmitBackground([this, name, generation, fastest_first,
+                             pick = std::move(pick)] {
       bool stale = true;
       {
         std::lock_guard<std::mutex> lock(readahead_mutex_);
@@ -2740,10 +2153,15 @@ void CyrusClient::MaybeScheduleReadahead(const std::string& name,
       if (stale) {
         readahead_cancelled_->Increment();  // credited: the reader seeked
       } else {
-        Bytes chunk_bytes;
-        if (FetchChunkForCache(pick.chunk, pick.locations, &chunk_bytes).ok()) {
-          chunk_cache_.Put(pick.chunk.id,
-                           std::make_shared<const Bytes>(std::move(chunk_bytes)));
+        auto chunk_bytes = std::make_shared<Bytes>(pick.chunk.size);
+        ChunkRead read = reader_->FetchAuthenticated(
+            pick.chunk, ReadOrder(pick.chunk, pick.locations, fastest_first),
+            pick.chunk.t, readahead_policy_);
+        const Status decoded =
+            reader_->Reconstruct(pick.chunk, read, *chunk_bytes, readahead_policy_);
+        RecordTransferMetrics(read.report, metrics_);
+        if (decoded.ok()) {
+          chunk_cache_.Put(pick.chunk.id, std::move(chunk_bytes));
           readahead_completed_->Increment();
         } else {
           readahead_cancelled_->Increment();

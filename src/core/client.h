@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +39,7 @@
 #include "src/crypto/convergent.h"
 #include "src/dedup/share_index.h"
 #include "src/core/chunk_cache.h"
+#include "src/core/chunk_reader.h"
 #include "src/core/hash_ring.h"
 #include "src/core/hedged_fetch.h"
 #include "src/core/local_cache.h"
@@ -132,12 +134,6 @@ struct CyrusConfig {
   // exponential backoff + jitter). max_attempts = 1 disables retries.
   RetryOptions transfer_retry;
 
-  // Recycle encode/upload buffers through a shared BufferPool
-  // (src/util/buffer_pool.h) instead of allocating fresh share vectors per
-  // chunk. Off restores the pre-pool allocation pattern (kept as an A/B
-  // lever for the identical-bytes regression test and for debugging).
-  bool use_buffer_pool = true;
-
   // Knobs for the proactive scrub & repair engine (bandwidth budget,
   // per-pass repair cap).
   RepairEngineOptions repair;
@@ -213,14 +209,8 @@ struct CyrusConfig {
   // at most this many decoded chunks into its pipeline window at once,
   // streaming them into the result in order instead of buffering the whole
   // span. 0 = use the pipeline window unchanged. Whole-file Gets keep the
-  // plain window (parity with the legacy path).
+  // plain window.
   uint32_t max_resident_chunks = 0;
-
-  // Route whole-file Get/GetVersion through the unified range scheduler
-  // (GetRange(name, 0, size) internally), so both paths share one gather
-  // engine. Off restores GetFullFileLegacy - kept as an A/B lever (like
-  // use_buffer_pool) for one release.
-  bool get_via_range_path = true;
 
   // Observability sinks. Pipeline counters/histograms go to `metrics`;
   // each Put/Get/ScrubOnce also records a stage timeline (chunking ->
@@ -534,31 +524,15 @@ class CyrusClient {
                              TransferReport& report, obs::TraceBuilder* trace,
                              PutResult& result);
 
-  // Whole-file gather predating the unified range scheduler; kept one
-  // release as the config.get_via_range_path=false A/B lever.
-  Result<GetResult> GetFullFileLegacy(std::string_view name,
-                                      const Sha1Digest& version_id,
-                                      obs::TraceBuilder& trace);
-
-  // The unified range scheduler behind GetRange and (when
-  // config.get_via_range_path) whole-file Get/GetVersion: assembles bytes
-  // [offset, offset+len) of `version_id` from cache hits plus pipelined
-  // gathers of the covering chunks. `whole_file` selects the zero-copy
-  // decode-into-result layout (and the whole-file SHA-1 check) instead of
-  // per-chunk cache-owned buffers.
+  // The range scheduler behind GetRange and whole-file Get/GetVersion:
+  // assembles bytes [offset, offset+len) of `version_id` from cache hits
+  // plus pipelined reads of the covering chunks. `whole_file` selects the
+  // zero-copy decode-into-result layout (and the whole-file SHA-1 check)
+  // instead of per-chunk cache-owned buffers.
   Result<GetResult> GetRangeTraced(std::string_view name,
                                    const Sha1Digest& version_id,
                                    uint64_t offset, uint64_t len,
                                    bool whole_file, obs::TraceBuilder& trace);
-
-  // Lean gather for readahead: downloads t shares of `chunk` from
-  // `locations`, decodes, and hash-verifies into `out`. Deliberately no
-  // hedging, no lazy migration, no error-correcting repair - a background
-  // prefetch must never race the foreground path's chunk-table updates.
-  // Runs on a pool worker; touches only thread-safe components.
-  Status FetchChunkForCache(const ChunkRecord& chunk,
-                            const std::vector<ShareLocation>& locations,
-                            Bytes* out);
 
   // Sequential-stream detection and prefetch scheduling after a GetRange
   // of [offset, offset+len) on `version`. Driver thread only.
@@ -572,27 +546,40 @@ class CyrusClient {
   void InvalidateCachedChunks(const std::vector<ChunkRecord>& released,
                               const std::vector<ChunkRecord>* kept);
 
-  // Downloads and reconstructs one chunk per its ChunkRecord, decoding
-  // straight into `dst` - the chunk's slice of the assembled file (exactly
-  // chunk.size bytes) - so Get never materializes per-chunk temporaries.
-  // Performs lazy migration of shares on failed/removed CSPs. Runs on a
-  // pipeline worker; the caller resolves `locations` (chunk table /
-  // ShareMap) on the driver thread and folds `updated_shares` back into
-  // the version there, so this function never reads the mutable
-  // FileVersion. Workers write disjoint dst slices, never the vector.
-  // `integrity_rejected` counts shares discarded pre-decode on digest
-  // mismatch; `upgraded_digests`, when filled, is the authoritative digest
-  // set this gather derived for a legacy (digestless) record - the driver
-  // folds it into the version's ChunkRecord and republishes the metadata.
-  Status GatherChunk(const std::string& file_name, const ChunkRecord& chunk,
-                     MutableByteSpan dst,
-                     const std::vector<ShareLocation>& locations,
-                     const std::vector<int>& selected_csps,
-                     std::vector<ShareLocation>& updated_shares,
-                     size_t& migrated, size_t& hedged_downloads,
-                     size_t& integrity_rejected,
-                     std::vector<ShareDigest>& upgraded_digests,
-                     TransferReport& report);
+  // One covering chunk of a Get. The driver fills the inputs (resolving
+  // locations from the chunk table / ShareMap, so no worker reads the
+  // mutable FileVersion), a pipeline worker runs ReadChunk, and the
+  // ordered completion folds the outputs back into the version.
+  struct ChunkFetch {
+    ChunkRecord chunk;  // with the chunk table's digests merged in
+    // Exactly chunk.size bytes: the chunk's slice of the assembled file
+    // (whole-file Gets decode in place), or `buffer` (range reads).
+    MutableByteSpan dst;
+    std::shared_ptr<Bytes> buffer;
+    // Where the shares are; ReadChunk rewrites migrated entries in place.
+    std::vector<ShareLocation> locations;
+    std::vector<int> selected;  // the download selector's CSPs, read first
+    Status status = InternalError("not gathered");
+    size_t migrated = 0;
+    size_t hedged = 0;
+    size_t integrity_rejected = 0;
+    // Digests to fold into the version's ChunkRecord (and the chunk
+    // table): a legacy record's derived set, or shares minted by healing
+    // and migration.
+    std::vector<ShareDigest> digests;
+    TransferReport report;
+  };
+
+  // Reads one chunk through the ChunkReader (selector order, hedging,
+  // healing) into fetch.dst, then migrates shares off failed or removed
+  // CSPs (paper §5.5). Runs on a pipeline worker.
+  Status ReadChunk(const std::string& file_name, ChunkFetch& fetch);
+
+  // The reader's input: `locations` with the record's digests attached,
+  // sorted (stably) by ascending rank of their CSP.
+  std::vector<ChunkShare> ReadOrder(const ChunkRecord& chunk,
+                                    const std::vector<ShareLocation>& locations,
+                                    const std::function<double(int csp)>& rank) const;
 
   // Routes a failed transfer into the health machinery: with breakers on,
   // the connector decorator already counted the failure (the breaker trips
@@ -690,6 +677,13 @@ class CyrusClient {
   std::set<Sha1Digest> readahead_inflight_;  // ids queued or downloading
   size_t readahead_active_ = 0;
   std::condition_variable readahead_idle_;
+  // The one chunk-read path, shared by Get, readahead, repair and scrub,
+  // and the per-caller policies of the client's own reads. Declared before
+  // pool_ for the same reason as the cache: drained readahead tasks read
+  // through them.
+  std::unique_ptr<ChunkReader> reader_;
+  ChunkReadPolicy get_policy_;
+  ChunkReadPolicy readahead_policy_;
   std::unique_ptr<DownloadSelector> selector_;
   // Transfer worker threads (null when transfer_concurrency == 1).
   std::unique_ptr<ThreadPool> pool_;

@@ -19,6 +19,24 @@ constexpr uint32_t kMaxShares = 255;
 // Failover attempts per rebuilt share before giving up on this pass.
 constexpr int kPlacementAttempts = 3;
 
+// The reader's view of a chunk-table entry (digests travel with the
+// locations).
+ChunkRecord RecordOf(const Sha1Digest& chunk_id, const ChunkEntry& entry) {
+  ChunkRecord record;
+  record.id = chunk_id;
+  record.size = entry.size;
+  record.t = entry.t;
+  record.n = entry.n;
+  record.dedup = entry.dedup;
+  record.wrapped_key = entry.wrapped_key;
+  return record;
+}
+
+bool MissingDigest(const ChunkEntry& entry) {
+  return std::any_of(entry.shares.begin(), entry.shares.end(),
+                     [](const ChunkShare& share) { return !share.has_digest(); });
+}
+
 }  // namespace
 
 RepairEngine::RepairEngine(RepairContext context, RepairEngineOptions options)
@@ -338,19 +356,13 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
   const uint64_t share_bytes = ShareSize(entry->size, t);
 
   // Live locations = table locations minus the scan's dead list.
-  auto is_dead = [&](const ChunkShare& share) {
-    for (const ChunkShare& d : dead) {
-      if (d.csp == share.csp && d.share_index == share.share_index) {
-        return true;
-      }
-    }
-    return false;
-  };
   std::vector<ChunkShare> live;
   uint32_t max_index = 0;
   for (const ChunkShare& share : entry->shares) {
     max_index = std::max(max_index, share.share_index);
-    if (!is_dead(share)) {
+    if (std::none_of(dead.begin(), dead.end(), [&](const ChunkShare& d) {
+          return d.csp == share.csp && d.share_index == share.share_index;
+        })) {
       live.push_back(share);
     }
   }
@@ -374,126 +386,22 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
     }
   };
 
-  // Gather t surviving shares, first t live locations concurrently on the
-  // shared pool, stragglers sequentially if some of those fail under us.
-  const size_t first_wave = std::min<size_t>(live.size(), t);
-  std::vector<Result<Bytes>> fetched(first_wave,
-                                     Result<Bytes>(InternalError("not fetched")));
-  std::vector<TransferReport> wave_reports(first_wave);
-  auto fetch_one = [&](size_t i) {
-    auto conn = context_.registry->connector(live[i].csp);
-    if (!conn.ok()) {
-      fetched[i] = conn.status();
-      return;
-    }
-    fetched[i] = DownloadWithRetry(**conn, TransferKind::kGet, live[i].csp,
-                                   ShareName(chunk_id, live[i].share_index, t),
-                                   options_.retry, wave_reports[i]);
-  };
-  if (context_.pool != nullptr && first_wave > 1) {
-    context_.pool->ParallelFor(first_wave, fetch_one);
-  } else {
-    for (size_t i = 0; i < first_wave; ++i) {
-      fetch_one(i);
-    }
-  }
-  std::vector<Share> shares;
-  for (size_t i = 0; i < first_wave; ++i) {
-    report.transfer.Append(wave_reports[i]);
-    if (fetched[i].ok()) {
-      spend(fetched[i]->size());
-      shares.push_back(Share{live[i].share_index, *std::move(fetched[i])});
-    } else if (fetched[i].status().code() == StatusCode::kUnavailable &&
-               context_.mark_csp_failed) {
-      (void)context_.mark_csp_failed(live[i].csp);
-    }
-  }
-  for (size_t i = first_wave; i < live.size() && shares.size() < t; ++i) {
-    auto conn = context_.registry->connector(live[i].csp);
-    if (!conn.ok()) {
-      continue;
-    }
-    auto data = DownloadWithRetry(**conn, TransferKind::kGet, live[i].csp,
-                                  ShareName(chunk_id, live[i].share_index, t),
-                                  options_.retry, report.transfer);
-    if (data.ok()) {
-      spend(data->size());
-      shares.push_back(Share{live[i].share_index, *std::move(data)});
-    } else if (data.status().code() == StatusCode::kUnavailable &&
-               context_.mark_csp_failed) {
-      (void)context_.mark_csp_failed(live[i].csp);
-    }
-  }
-  if (shares.size() < t) {
-    return DataLossError(StrCat("chunk ", chunk_id.ToHex(), ": only ", shares.size(),
-                                " of t=", t, " shares reachable"));
-  }
-
-  // Convergent chunks decode under their content key, resolved through the
-  // owning client (which can unwrap it with the user key alone).
-  std::string codec_key = *context_.key_string;
-  if (context_.chunk_key) {
-    CYRUS_ASSIGN_OR_RETURN(codec_key, context_.chunk_key(chunk_id, *entry));
-  }
-  CYRUS_ASSIGN_OR_RETURN(SecretSharingCodec codec,
-                         SecretSharingCodec::Create(codec_key, t, kMaxShares));
-  // Rebuilt shares are encoded into pooled upload buffers when the owning
-  // client shared its pool; each handle lives only for its upload.
+  // Read t surviving shares through the reader: the first t live
+  // locations concurrently, topped up past failures and digest rejects (a
+  // rotted survivor is rejected, replaced and healed, never decoded past
+  // the id check). Repair throughput is bound by SHA-1, and the chunk-id
+  // check already proves the t shares it decodes, so digests are checked
+  // only to name the bad share once that check fails.
+  const ChunkRecord record = RecordOf(chunk_id, *entry);
+  ChunkReadPolicy policy = ReadPolicy(budget_left, delta);
+  policy.screen_before_decode = false;
+  ChunkRead read = context_.reader->FetchAuthenticated(record, live, t, policy);
+  Bytes data(entry->size);
+  const Status decoded = context_.reader->Reconstruct(record, read, data, policy);
+  Book(chunk_id, *entry, read, report, delta);
+  CYRUS_RETURN_IF_ERROR(decoded);
+  const SecretSharingCodec& codec = *read.codec;
   const size_t share_len = ShareSize(entry->size, t);
-  Bytes scratch_heap;
-  auto acquire_share_buf = [&](PooledBuffer& handle) -> MutableByteSpan {
-    if (context_.buffers != nullptr) {
-      handle = context_.buffers->Acquire(std::max<size_t>(share_len, 1));
-      return handle.span(share_len);
-    }
-    scratch_heap.assign(share_len, 0);
-    return MutableByteSpan(scratch_heap);
-  };
-  CYRUS_ASSIGN_OR_RETURN(Bytes data, codec.Decode(shares, entry->size));
-  if (Sha1::Hash(data) != chunk_id) {
-    // Bit rot slipped past the probe (List sees names, not bytes). Pull
-    // every live share and run the error-correcting decode, then overwrite
-    // the corrupted shares in place.
-    for (size_t i = first_wave; i < live.size(); ++i) {
-      auto conn = context_.registry->connector(live[i].csp);
-      if (!conn.ok()) {
-        continue;
-      }
-      auto extra = DownloadWithRetry(**conn, TransferKind::kGet, live[i].csp,
-                                     ShareName(chunk_id, live[i].share_index, t),
-                                     options_.retry, report.transfer);
-      if (extra.ok()) {
-        spend(extra->size());
-        shares.push_back(Share{live[i].share_index, *std::move(extra)});
-      }
-    }
-    auto corrected = codec.DecodeWithErrorCorrection(shares, entry->size);
-    if (!corrected.ok() || Sha1::Hash(corrected->chunk) != chunk_id) {
-      return DataLossError(StrCat("chunk ", chunk_id.ToHex(),
-                                  " failed integrity check during scrub"));
-    }
-    data = std::move(corrected->chunk);
-    for (uint32_t bad_index : corrected->corrupted_indices) {
-      for (const ChunkShare& loc : live) {
-        if (loc.share_index != bad_index) {
-          continue;
-        }
-        PooledBuffer fresh_buf;
-        MutableByteSpan fresh = acquire_share_buf(fresh_buf);
-        auto encoded = codec.EncodeShareInto(data, bad_index, fresh);
-        auto conn = context_.registry->connector(loc.csp);
-        if (encoded.ok() && conn.ok()) {
-          const std::string object = ShareName(chunk_id, bad_index, t);
-          if (UploadWithRetry(**conn, TransferKind::kPut, loc.csp, object,
-                              fresh, options_.retry, report.transfer)
-                  .ok()) {
-            spend(fresh.size());
-          }
-        }
-        break;
-      }
-    }
-  }
 
   // Re-encode the missing redundancy at fresh indices and place it through
   // the ring, never on a CSP already holding a live share.
@@ -508,8 +416,8 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
     if (new_index >= kMaxShares) {
       break;
     }
-    PooledBuffer fresh_buf;
-    MutableByteSpan fresh = acquire_share_buf(fresh_buf);
+    PooledBuffer fresh_buf = context_.buffers->Acquire(std::max<size_t>(share_len, 1));
+    const MutableByteSpan fresh = fresh_buf.span(share_len);
     CYRUS_RETURN_IF_ERROR(codec.EncodeShareInto(data, new_index, fresh));
     bool placed = false;
     for (int attempt = 0; attempt < kPlacementAttempts && !placed; ++attempt) {
@@ -527,8 +435,8 @@ Status RepairEngine::RepairChunk(const ChunkHealth& health,
       Status upload = UploadWithRetry(**conn, TransferKind::kPut, target, object,
                                       fresh, options_.retry, report.transfer);
       if (!upload.ok()) {
-        if (upload.code() == StatusCode::kUnavailable && context_.mark_csp_failed) {
-          (void)context_.mark_csp_failed(target);
+        if (context_.note_transfer_failure) {
+          (void)context_.note_transfer_failure(target, upload);
         }
         exclude.push_back(target);
         continue;
@@ -707,192 +615,33 @@ void RepairEngine::IntegrityPass(uint64_t* budget_left, ScrubReport& report,
       break;  // cursor stays on this chunk; the next pass resumes here
     }
     ++sampled;
-    auto spend = [&](uint64_t bytes) {
-      delta.bytes_moved += bytes;
-      if (budget_left != nullptr) {
-        *budget_left -= std::min(*budget_left, bytes);
-      }
-    };
 
     // Pull every reachable share once; the digest checks and any heal both
     // work from these bytes, so a sampled chunk costs at most n downloads.
-    std::vector<ChunkShare> locs;
-    std::vector<Share> shares;
-    for (const ChunkShare& share : entry->shares) {
-      auto conn = context_.registry->connector(share.csp);
-      if (!conn.ok()) {
-        continue;
-      }
-      auto data = DownloadWithRetry(**conn, TransferKind::kGet, share.csp,
-                                    ShareName(chunk_id, share.share_index, t),
-                                    options_.retry, report.transfer);
-      if (!data.ok()) {
-        if (data.status().code() == StatusCode::kUnavailable &&
-            context_.mark_csp_failed) {
-          (void)context_.mark_csp_failed(share.csp);
-        }
-        continue;
-      }
-      spend(data->size());
-      locs.push_back(share);
-      shares.push_back(Share{share.share_index, *std::move(data)});
-    }
-    if (shares.empty()) {
-      continue;
-    }
-    delta.shares_integrity_checked += shares.size();
-
-    bool all_have_digests = true;
-    std::vector<size_t> bad;  // indices into locs/shares failing their digest
-    for (size_t i = 0; i < locs.size(); ++i) {
-      if (!locs[i].has_digest()) {
-        all_have_digests = false;
-        continue;
-      }
-      if (Sha1::Hash(shares[i].data) != locs[i].digest) {
-        bad.push_back(i);
-        ++delta.integrity_failures;
-        if (context_.monitor != nullptr) {
-          context_.monitor->RecordIntegrityFailure(locs[i].csp);
-        }
+    const ChunkRecord record = RecordOf(chunk_id, *entry);
+    const ChunkReadPolicy policy = ReadPolicy(budget_left, delta);
+    ChunkRead read = context_.reader->FetchAuthenticated(record, entry->shares,
+                                                         ChunkReader::kAllShares, policy);
+    delta.shares_integrity_checked += read.shares.size() + read.rejected.size();
+    if (!read.rejected.empty() || MissingDigest(*entry)) {
+      // Something to heal or upgrade. A chunk with fewer than t clean
+      // shares reachable fails here and is left to the repair pass.
+      // A chunk whose every bad share was healed goes out for republish.
+      Bytes data(entry->size);
+      if (context_.reader->Reconstruct(record, read, data, policy).ok() &&
+          read.rejected.size() + read.corrupt.size() == read.healed && read.healed > 0) {
+        report.repaired_chunks.push_back(chunk_id);
       }
     }
-    if (all_have_digests && bad.empty()) {
-      continue;  // fully authenticated and clean; the common case
-    }
-
-    // Something to heal or upgrade: resolve the chunk's codec once.
-    std::string codec_key = *context_.key_string;
-    if (context_.chunk_key) {
-      auto resolved = context_.chunk_key(chunk_id, *entry);
-      if (!resolved.ok()) {
-        continue;
-      }
-      codec_key = *std::move(resolved);
-    }
-    auto codec = SecretSharingCodec::Create(codec_key, t, kMaxShares);
-    if (!codec.ok()) {
-      continue;
-    }
-    const size_t share_len = ShareSize(entry->size, t);
-    Bytes scratch_heap;
-    auto acquire_share_buf = [&](PooledBuffer& handle) -> MutableByteSpan {
-      if (context_.buffers != nullptr) {
-        handle = context_.buffers->Acquire(std::max<size_t>(share_len, 1));
-        return handle.span(share_len);
-      }
-      scratch_heap.assign(share_len, 0);
-      return MutableByteSpan(scratch_heap);
-    };
-
-    // Recover the plaintext. With digests we can decode straight from t
-    // authenticated shares; without (legacy entry) the error-correcting
-    // decode both recovers the chunk and names the rotted indices.
-    Bytes data;
-    std::vector<uint32_t> rotted;
-    for (size_t i : bad) {
-      rotted.push_back(locs[i].share_index);
-    }
-    if (all_have_digests) {
-      std::vector<Share> clean;
-      for (size_t i = 0; i < shares.size(); ++i) {
-        bool is_bad = false;
-        for (size_t b : bad) {
-          is_bad = is_bad || b == i;
-        }
-        if (!is_bad && clean.size() < t) {
-          clean.push_back(shares[i]);
-        }
-      }
-      if (clean.size() < t) {
-        continue;  // fewer than t clean shares reachable; repair pass owns it
-      }
-      auto decoded = codec->Decode(clean, entry->size);
-      if (!decoded.ok() || Sha1::Hash(*decoded) != chunk_id) {
-        continue;  // digests lied about cleanliness; do not spread bad bytes
-      }
-      data = *std::move(decoded);
-    } else {
-      auto corrected = codec->DecodeWithErrorCorrection(shares, entry->size);
-      if (!corrected.ok() || Sha1::Hash(corrected->chunk) != chunk_id) {
-        continue;
-      }
-      data = std::move(corrected->chunk);
-      for (uint32_t index : corrected->corrupted_indices) {
-        bool counted = false;
-        for (uint32_t known : rotted) {
-          counted = counted || known == index;
-        }
-        if (!counted) {
-          rotted.push_back(index);
-          ++delta.integrity_failures;
-          for (const ChunkShare& loc : locs) {
-            if (loc.share_index == index && context_.monitor != nullptr) {
-              context_.monitor->RecordIntegrityFailure(loc.csp);
-              break;
-            }
-          }
-        }
-      }
-    }
-
-    // Heal in place: the share at index i is a pure function of the chunk,
-    // so overwriting the object restores exactly the bytes the digest names.
-    bool healed_all = true;
-    for (uint32_t index : rotted) {
-      for (const ChunkShare& loc : locs) {
-        if (loc.share_index != index) {
-          continue;
-        }
-        PooledBuffer fresh_buf;
-        MutableByteSpan fresh = acquire_share_buf(fresh_buf);
-        auto encoded = codec->EncodeShareInto(data, index, fresh);
-        auto conn = context_.registry->connector(loc.csp);
-        if (encoded.ok() && conn.ok() &&
-            UploadWithRetry(**conn, TransferKind::kPut, loc.csp,
-                            ShareName(chunk_id, index, t), fresh,
-                            options_.retry, report.transfer)
-                .ok()) {
-          spend(fresh.size());
-          ++delta.shares_healed;
-        } else {
-          healed_all = false;
-        }
-        break;
-      }
-    }
-    if (!rotted.empty() && healed_all) {
-      report.repaired_chunks.push_back(chunk_id);
-    }
-
-    // Legacy entries earned a full digest set from the verified plaintext;
-    // record it so every future read authenticates before decoding.
-    if (!all_have_digests) {
-      for (const ChunkShare& share : entry->shares) {
-        PooledBuffer buf;
-        MutableByteSpan span = acquire_share_buf(buf);
-        if (!codec->EncodeShareInto(data, share.share_index, span).ok()) {
-          continue;
-        }
-        (void)context_.chunk_table->SetShareDigest(chunk_id, share.share_index,
-                                                   Sha1::Hash(span));
-      }
-      ++delta.records_upgraded;
-      report.upgraded_chunks.push_back(chunk_id);
-      if (context_.share_index != nullptr && entry->dedup) {
-        const ChunkEntry* fresh = context_.chunk_table->Find(chunk_id);
-        if (fresh != nullptr) {
-          (void)context_.share_index->ReplaceShares(chunk_id, fresh->shares);
-        }
-      }
-    }
+    Book(chunk_id, *entry, read, report, delta);
   }
   integrity_cursor_ = (start + scanned) % ids.size();
 }
 
 Result<ScrubReport> RepairEngine::ScrubOnce(obs::TraceBuilder* trace) {
   if (context_.chunk_table == nullptr || context_.registry == nullptr ||
-      context_.ring == nullptr || context_.key_string == nullptr) {
+      context_.ring == nullptr || context_.reader == nullptr ||
+      context_.buffers == nullptr) {
     return FailedPreconditionError("repair engine context is incomplete");
   }
   ScrubReport report;
@@ -952,6 +701,7 @@ Result<ScrubReport> RepairEngine::ScrubOnce(obs::TraceBuilder* trace) {
         ++delta.chunks_deferred;
         break;
       case StatusCode::kDataLoss:
+      case StatusCode::kIntegrity:
         ++delta.chunks_unrepairable;
         break;
       default:
@@ -992,6 +742,54 @@ Result<ScrubReport> RepairEngine::ScrubOnce(obs::TraceBuilder* trace) {
     RefreshDebtGaugesLocked();
   }
   return report;
+}
+
+ChunkReadPolicy RepairEngine::ReadPolicy(uint64_t* budget_left,
+                                         RepairStats& delta) const {
+  ChunkReadPolicy policy;
+  policy.retry = options_.retry;
+  policy.heal = true;
+  policy.budget_left = budget_left;
+  policy.on_transfer_failure = [this](int csp, const Status& status) {
+    if (context_.note_transfer_failure) {
+      (void)context_.note_transfer_failure(csp, status);
+    }
+  };
+  policy.on_integrity_failure = [this, &delta](int csp) {
+    ++delta.integrity_failures;
+    if (context_.monitor != nullptr) {
+      context_.monitor->RecordIntegrityFailure(csp);
+    }
+  };
+  return policy;
+}
+
+void RepairEngine::Book(const Sha1Digest& chunk_id, const ChunkEntry& entry,
+                        const ChunkRead& read, ScrubReport& report, RepairStats& delta) {
+  report.transfer.Append(read.report);
+  delta.bytes_moved += read.bytes_moved;
+  delta.shares_healed += read.healed;
+  for (const ChunkShare& share : read.corrupt) {
+    ++delta.integrity_failures;
+    if (context_.monitor != nullptr) {
+      context_.monitor->RecordIntegrityFailure(share.csp);
+    }
+  }
+  if (read.digests.empty() || !MissingDigest(entry)) {
+    return;
+  }
+  // Every future read authenticates before decoding; the owning client
+  // republishes the versions referencing the chunk.
+  for (const ShareDigest& sd : read.digests) {
+    (void)context_.chunk_table->SetShareDigest(chunk_id, sd.share_index, sd.digest);
+  }
+  ++delta.records_upgraded;
+  report.upgraded_chunks.push_back(chunk_id);
+  if (context_.share_index != nullptr && entry.dedup) {
+    if (const ChunkEntry* fresh = context_.chunk_table->Find(chunk_id)) {
+      (void)context_.share_index->ReplaceShares(chunk_id, fresh->shares);
+    }
+  }
 }
 
 void RepairEngine::FlagCspForReprobe(int csp) { pending_reprobe_.insert(csp); }

@@ -16,8 +16,8 @@
 //                current Eq.-1 target n.
 //   3. Repair  - degraded chunks are repaired worst-first (smallest margin
 //                above t, then most missing redundancy, then largest): t
-//                surviving shares are gathered, the chunk is decoded with
-//                the keyed RS codec, fresh shares at new indices are
+//                surviving shares are read and authenticated through the
+//                client's ChunkReader, fresh shares at new indices are
 //                encoded and placed through the HashRing on CSPs not yet
 //                holding one, and the ChunkTable is updated. Transfers run
 //                on the shared ThreadPool; a per-pass bandwidth budget and
@@ -37,6 +37,7 @@
 
 #include "src/cloud/availability.h"
 #include "src/cloud/registry.h"
+#include "src/core/chunk_reader.h"
 #include "src/core/hash_ring.h"
 #include "src/core/transfer.h"
 #include "src/dedup/share_index.h"
@@ -129,29 +130,32 @@ struct ScrubReport {
 // callbacks route state changes through the client so registry, ring, and
 // monitor stay consistent.
 struct RepairContext {
-  const std::string* key_string = nullptr;
+  // Every share the engine reads goes through the client's reader, which
+  // resolves per-chunk decode keys (convergent chunks included).
+  const ChunkReader* reader = nullptr;
   CspRegistry* registry = nullptr;
   HashRing* ring = nullptr;
   ChunkTable* chunk_table = nullptr;
   AvailabilityMonitor* monitor = nullptr;
   ThreadPool* pool = nullptr;
   bool cluster_aware = false;
-  uint32_t t = 0;                              // config threshold (metadata fallback)
   std::function<double()> now;
+  // A CSP whose probe List failed: marked failed before the scan.
   std::function<Status(int)> mark_csp_failed;
+  // A failed repair or scrub transfer, routed like a Get's (breakers see
+  // it through their decorator; without breakers the CSP is marked failed
+  // for provider-indicting statuses).
+  std::function<Status(int, const Status&)> note_transfer_failure;
   std::function<Result<uint32_t>()> current_n;  // Eq. (1) for the active set
-  // Cross-user dedup hooks (both optional; null = pre-dedup behaviour).
-  // With `share_index` set, ScrubOnce appends an orphan-reclaim pass that
-  // deletes the share objects of zero-ref entries under the same bandwidth
-  // budget, and Scan skips condemned chunks instead of "repairing" garbage.
-  // `chunk_key` resolves the RS key for one chunk (convergent chunks decode
-  // under their unwrapped content key); unset falls back to `key_string`.
+  // Cross-user dedup index (optional; null = pre-dedup behaviour). When
+  // set, ScrubOnce appends an orphan-reclaim pass that deletes the share
+  // objects of zero-ref entries under the same bandwidth budget, and Scan
+  // skips condemned chunks instead of "repairing" garbage.
   ShareIndex* share_index = nullptr;
-  std::function<Result<std::string>(const Sha1Digest&, const ChunkEntry&)> chunk_key;
   // Sink for cyrus_scrub_* counters; nullptr = process-wide default.
   obs::MetricsRegistry* metrics = nullptr;
-  // Pool for re-encoded share upload buffers (borrowed from the owning
-  // client, like everything else here); nullptr = plain heap allocation.
+  // Pool for rebuilt share upload buffers (borrowed from the owning
+  // client, like everything else here). Required.
   BufferPool* buffers = nullptr;
 };
 
@@ -222,8 +226,9 @@ class RepairEngine {
   // counters into `delta`; decrements `*budget_left` by the bytes moved
   // (budget_left == nullptr means unlimited). Returns OK when the chunk is
   // back at its target n, kResourceExhausted when the pass budget blocked
-  // it, kDataLoss when fewer than t live shares were reachable, and
-  // kFailedPrecondition when the active CSP set cannot hold the target.
+  // it, kDataLoss or kIntegrity when fewer than t live shares were
+  // reachable or authentic, and kFailedPrecondition when the active CSP
+  // set cannot hold the target.
   Status RepairChunk(const ChunkHealth& health, const std::vector<ChunkShare>& dead,
                      uint64_t* budget_left, ScrubReport& report, RepairStats& delta);
 
@@ -236,16 +241,29 @@ class RepairEngine {
   // orphaned. No-op without a share_index.
   void ReclaimOrphans(uint64_t* budget_left, RepairStats& delta);
 
-  // Sampled bit-rot pass: downloads the shares of up to
+  // Sampled bit-rot pass: reads every share of up to
   // options_.integrity_samples_per_pass chunks (round-robin from a
-  // persistent cursor), hashes each against the table's stored digest, and
-  // heals mismatches in place (decode from clean shares, re-encode the
-  // rotted index, overwrite the object). Entries without digests take the
-  // error-correcting decode once and are upgraded with a full digest set.
-  // Healed/upgraded chunks land in report.repaired_chunks /
+  // persistent cursor) through the reader, which checks each against the
+  // table's stored digest. Only a chunk with a rejected or digestless
+  // share is reconstructed: rotted shares are healed in place, and
+  // digestless entries are upgraded with a full digest set. Healed /
+  // upgraded chunks land in report.repaired_chunks /
   // report.upgraded_chunks for metadata republish. No-op when the knob is 0.
   void IntegrityPass(uint64_t* budget_left, ScrubReport& report,
                      RepairStats& delta);
+
+  // The reader policy of repair and scrub reads: options_.retry, the pass
+  // budget, failures routed to note_transfer_failure, and digest rejects
+  // recorded in the integrity ledger (and `delta`) only - scrub evidence
+  // never quarantines a CSP on its own.
+  ChunkReadPolicy ReadPolicy(uint64_t* budget_left, RepairStats& delta) const;
+
+  // Books a finished read into the pass: transfers, bytes moved, heals,
+  // shares found corrupt after decode (integrity ledger), and - when
+  // `entry` lacked digests - the derived digest set, queued for metadata
+  // republish.
+  void Book(const Sha1Digest& chunk_id, const ChunkEntry& entry, const ChunkRead& read,
+            ScrubReport& report, RepairStats& delta);
 
   // Adds `delta` to the lifetime totals and mirrors it into the registry's
   // cyrus_scrub_* counters.

@@ -1,8 +1,8 @@
 // Tests for the aligned reusable buffer pool (src/util/buffer_pool.h):
 // alignment and capacity contracts, reuse-after-release, concurrent
 // checkout from thread-pool workers (selected into the TSan tier), and the
-// end-to-end regression that a pooled Put uploads byte-identical share
-// objects to the pre-pool allocation path.
+// end-to-end oracle that every share object a pooled Put uploads is the
+// codec's own encoding of its chunk.
 #include "src/util/buffer_pool.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/crypto/naming.h"
+#include "src/rs/secret_sharing.h"
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
@@ -130,14 +132,14 @@ TEST(BufferPoolTest, ConcurrentCheckoutFromThreadPoolWorkers) {
   EXPECT_GT(stats.hits + stats.misses, 0u);
 }
 
-// --- End-to-end regression: pooled Put == pre-pool Put, byte for byte ---
+// --- End-to-end oracle: a pooled Put uploads exactly the codec's shares ---
 
 struct MiniCloud {
   std::vector<std::shared_ptr<SimulatedCsp>> csps;
   std::unique_ptr<CyrusClient> client;
 };
 
-MiniCloud MakeCloud(bool use_buffer_pool) {
+MiniCloud MakeCloud() {
   MiniCloud cloud;
   CyrusConfig config;
   config.client_id = "pool-device";
@@ -147,7 +149,6 @@ MiniCloud MakeCloud(bool use_buffer_pool) {
   config.epsilon = 1e-4;
   config.chunker = ChunkerOptions::ForTesting();
   config.cluster_aware = false;
-  config.use_buffer_pool = use_buffer_pool;
   auto client = CyrusClient::Create(std::move(config));
   EXPECT_TRUE(client.ok()) << client.status();
   cloud.client = std::move(client).value();
@@ -181,31 +182,52 @@ std::map<std::string, Bytes> DumpObjects(MiniCloud& cloud) {
   return objects;
 }
 
-TEST(BufferPoolTest, PooledPutUploadsIdenticalBytesToPrePoolPath) {
+TEST(BufferPoolTest, PooledPutUploadsTheCodecsShares) {
   Rng rng(0x900DBEEF);
   Bytes content(100 * 1024);
   for (auto& b : content) {
     b = static_cast<uint8_t>(rng.Next());
   }
-  MiniCloud pooled = MakeCloud(/*use_buffer_pool=*/true);
-  MiniCloud legacy = MakeCloud(/*use_buffer_pool=*/false);
-  auto put_pooled = pooled.client->Put("regression.bin", content);
-  ASSERT_TRUE(put_pooled.ok()) << put_pooled.status();
-  auto put_legacy = legacy.client->Put("regression.bin", content);
-  ASSERT_TRUE(put_legacy.ok()) << put_legacy.status();
+  MiniCloud cloud = MakeCloud();
+  auto put = cloud.client->Put("regression.bin", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+  auto versions = cloud.client->Versions("regression.bin");
+  ASSERT_TRUE(versions.ok()) << versions.status();
+  ASSERT_FALSE(versions->empty());
+  const FileVersion& version = *versions->front();
+  ASSERT_GT(version.chunks.size(), 1u);
 
-  const std::map<std::string, Bytes> a = DumpObjects(pooled);
-  const std::map<std::string, Bytes> b = DumpObjects(legacy);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (const auto& [name, bytes] : a) {
-    auto it = b.find(name);
-    ASSERT_NE(it, b.end()) << name << " only uploaded by the pooled client";
-    EXPECT_EQ(bytes, it->second) << name;
+  // The oracle: share object i of a chunk is row i of the allocating
+  // Encode() of that chunk's plaintext, under the client's key and the
+  // Put's n - independent of the pooled EncodeInto path Put runs.
+  const CyrusConfig& config = cloud.client->config();
+  auto codec = SecretSharingCodec::Create(config.key_string, config.t, put->n);
+  ASSERT_TRUE(codec.ok()) << codec.status();
+  std::map<std::string, Bytes> expected;
+  for (const ChunkRecord& chunk : version.chunks) {
+    auto shares = codec->Encode(ByteSpan(content.data() + chunk.offset, chunk.size));
+    ASSERT_TRUE(shares.ok()) << shares.status();
+    for (Share& share : *shares) {
+      expected[ShareName(chunk.id, share.index, config.t)] = std::move(share.data);
+    }
   }
 
-  // And both round-trip.
-  auto get = pooled.client->Get("regression.bin");
+  size_t checked = 0;
+  for (const auto& [key, bytes] : DumpObjects(cloud)) {
+    const std::string object = key.substr(key.find('/') + 1);
+    if (object.rfind("meta-", 0) == 0) {
+      continue;  // the version's metadata shares
+    }
+    auto it = expected.find(object);
+    ASSERT_NE(it, expected.end()) << key << " is no share of the file's chunks";
+    EXPECT_EQ(bytes, it->second) << key;
+    ++checked;
+  }
+  // Every chunk's n shares were placed (no CSP failed).
+  EXPECT_EQ(checked, version.chunks.size() * put->n);
+
+  // And the file round-trips.
+  auto get = cloud.client->Get("regression.bin");
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, content);
 }

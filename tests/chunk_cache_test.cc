@@ -1,8 +1,8 @@
 // Streaming tier: the byte-budgeted ARC chunk cache (budget enforcement,
 // ghost-list promotion, scan resistance, concurrent readers) and the
 // range-read path built on it - GetRange correctness, cache reuse,
-// sequential readahead, invalidation on overwrite/delete, and the
-// get_via_range_path A/B lever against the legacy whole-file gather.
+// sequential readahead, invalidation on overwrite/delete, and whole-file
+// Gets through the same range scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -392,26 +392,6 @@ TEST(RangeReadTest, DuplicateChunksAreAssembledCorrectly) {
   ASSERT_TRUE(warm.ok()) << warm.status();
   EXPECT_EQ(warm->content, content);
   EXPECT_EQ(warm->chunks_decoded, 0u);
-}
-
-TEST(RangeReadTest, WholeFileGetMatchesLegacyPath) {
-  StreamCloud range_cloud = MakeCloud(StreamConfig("writer"));
-  const Bytes content = RandomContent(96 * 1024, 19);
-  ASSERT_TRUE(range_cloud.client->Put("ab.bin", content).ok());
-
-  // Same CSP pool, read through both gather paths.
-  auto via_range = range_cloud.client->Get("ab.bin");
-  ASSERT_TRUE(via_range.ok()) << via_range.status();
-  EXPECT_EQ(via_range->content, content);
-  EXPECT_EQ(via_range->file_size, content.size());
-
-  CyrusConfig legacy_config = StreamConfig("legacy");
-  legacy_config.get_via_range_path = false;
-  StreamCloud legacy = MakeCloud(std::move(legacy_config), range_cloud.csps);
-  ASSERT_TRUE(legacy.client->SyncMetadata().ok());
-  auto via_legacy = legacy.client->Get("ab.bin");
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status();
-  EXPECT_EQ(via_legacy->content, content);
 }
 
 // Whole-file Gets consult the cache but never populate it: one large

@@ -11,9 +11,12 @@
 //   - circuit breaker: consecutive failures trip a CSP out of placement,
 //     and the scrub-driven half-open probe re-admits it after recovery;
 //   - crash-safe Put: an interrupted Put is rolled forward (shares were
-//     durable) or its orphan shares are deleted from every provider.
+//     durable) or its orphan shares are deleted from every provider;
+//   - scrub transfer failures are routed like a Get's: a breaker sample,
+//     not an immediate eviction.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -429,6 +432,87 @@ TEST(DegradedChaosTest, DownloadCorruptionIsCorrected) {
   ASSERT_TRUE(get.ok()) << get.status();
   EXPECT_EQ(get->content, content);
   EXPECT_GT(cloud.faults[0]->counters().downloads_corrupted, 0u);
+}
+
+// Forwards every call to `inner`, except that Download fails with
+// kUnavailable while `failing` is set (List, and so the scrub probe, keeps
+// working).
+class DownloadOutage : public CloudConnector {
+ public:
+  explicit DownloadOutage(std::shared_ptr<CloudConnector> inner)
+      : inner_(std::move(inner)) {}
+  std::string_view id() const override { return inner_->id(); }
+  Status Authenticate(const Credentials& credentials) override {
+    return inner_->Authenticate(credentials);
+  }
+  Result<std::vector<ObjectInfo>> List(std::string_view prefix) override {
+    return inner_->List(prefix);
+  }
+  Status Upload(std::string_view name, ByteSpan data) override {
+    return inner_->Upload(name, data);
+  }
+  Result<Bytes> Download(std::string_view name) override {
+    if (failing.load()) {
+      return UnavailableError("download outage");
+    }
+    return inner_->Download(name);
+  }
+  Status Delete(std::string_view name) override { return inner_->Delete(name); }
+
+  std::atomic<bool> failing{false};
+
+ private:
+  std::shared_ptr<CloudConnector> inner_;
+};
+
+// Scrub downloads report failures through the same path as a Get's. With
+// breakers on, a failed scrub download is a breaker sample: below the
+// failure threshold the CSP stays active and in the ring, and its breaker
+// stays closed - one bad download must not evict a provider.
+TEST(DegradedChaosTest, ScrubDownloadFailureIsABreakerSampleNotAnEviction) {
+  const uint64_t seed = 0xDE64AD08;
+  Rng rng(seed);
+  obs::MetricsRegistry metrics;
+  CyrusConfig config = ChaosConfig(&metrics, seed);
+  config.breaker.enabled = true;
+  // Above the scrub's retry budget: one failed download (all its attempts)
+  // cannot trip the breaker on its own.
+  config.breaker.failure_threshold = 5;
+  config.repair.retry.max_attempts = 3;
+  config.repair.integrity_samples_per_pass = 8;  // reads every share
+  auto client = CyrusClient::Create(std::move(config));
+  ASSERT_TRUE(client.ok()) << client.status();
+  std::vector<std::shared_ptr<DownloadOutage>> csps;
+  for (int i = 0; i < 4; ++i) {
+    SimulatedCspOptions o;
+    o.id = StrCat("scrub-csp", i);
+    csps.push_back(std::make_shared<DownloadOutage>(std::make_shared<SimulatedCsp>(o)));
+    ASSERT_TRUE((*client)->AddCsp(csps.back(), CspProfile{}, Credentials{"token"}).ok());
+  }
+
+  const Bytes content = RandomContent(rng, 100);  // one chunk
+  ASSERT_TRUE((*client)->Put("scrubbed", content).ok());
+  const std::vector<Sha1Digest> ids = (*client)->chunk_table().AllChunkIds();
+  ASSERT_EQ(ids.size(), 1u);
+  const int csp = (*client)->chunk_table().Find(ids.front())->shares.front().csp;
+
+  csps[csp]->failing = true;
+  auto scrub = (*client)->ScrubOnce();
+  ASSERT_TRUE(scrub.ok()) << scrub.status();
+  EXPECT_EQ(scrub->stats.shares_integrity_checked,
+            (*client)->chunk_table().Find(ids.front())->shares.size() - 1);
+
+  auto state = (*client)->registry().state(csp);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, CspState::kActive);
+  auto breaker = (*client)->breaker_for(csp);
+  ASSERT_NE(breaker, nullptr);
+  EXPECT_EQ(breaker->state(), CircuitBreaker::State::kClosed);
+
+  csps[csp]->failing = false;
+  auto get = (*client)->Get("scrubbed");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
 }
 
 }  // namespace

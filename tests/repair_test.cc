@@ -10,6 +10,7 @@
 #include "src/cloud/fault_injection.h"
 #include "src/cloud/simulated_csp.h"
 #include "src/core/client.h"
+#include "src/crypto/naming.h"
 #include "src/meta/metadata.h"
 #include "src/util/retry.h"
 #include "src/util/rng.h"
@@ -454,6 +455,61 @@ TEST(RepairTest, ScrubTransfersFeedTheFlowSimulator) {
   EXPECT_TRUE(saw_get);
   EXPECT_TRUE(saw_put);
   EXPECT_TRUE(saw_meta);
+}
+
+// Repair authenticates what it decodes: a rotted survivor among the first
+// t live locations is rejected by its digest before decode, charged to its
+// CSP's integrity ledger, and healed in place, and the read tops up with
+// exactly one more share - instead of decoding garbage and falling back to
+// downloading every live share for the error-correcting decode.
+TEST(RepairTest, RottedSurvivorIsRejectedBeforeDecodeAndHealed) {
+  CyrusConfig config = SmallConfig();
+  // Pin n = |active| = 5, so one dead location still leaves t + 2 live.
+  config.default_failure_prob = 0.5;
+  config.epsilon = 1e-9;
+  RepairCloud cloud = MakeCloud(std::move(config));
+  const Bytes content = RandomContent(100, 12);  // below the minimum chunk
+  auto put = cloud.client->Put("a.bin", content);
+  ASSERT_TRUE(put.ok()) << put.status();
+
+  const std::vector<Sha1Digest> ids = cloud.client->chunk_table().AllChunkIds();
+  ASSERT_EQ(ids.size(), 1u);
+  const ChunkEntry entry = *cloud.client->chunk_table().Find(ids.front());
+  const uint32_t t = entry.t;
+  ASSERT_EQ(entry.shares.size(), static_cast<size_t>(kNumCsps));
+  ASSERT_GE(entry.shares.size() - 1, t + 2u);
+
+  // One dead location, and rot on the first live one (in the first wave).
+  const ChunkShare dead = entry.shares.back();
+  const ChunkShare rotted = entry.shares.front();
+  ASSERT_TRUE(rotted.has_digest());
+  cloud.stores[dead.csp]->set_available(false);
+  const std::string object = ShareName(ids.front(), rotted.share_index, t);
+  ASSERT_TRUE(cloud.faults[rotted.csp]->RotStoredObject(object, 7).ok());
+  const uint64_t ledger_before =
+      cloud.client->availability_monitor().IntegrityFailureCount(rotted.csp);
+
+  auto report = cloud.client->ScrubOnce();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->stats.chunks_repaired, 1u);
+  EXPECT_EQ(report->stats.chunks_unrepairable, 0u);
+  EXPECT_EQ(report->transfer.CountOf(TransferKind::kGet), t + 1u);
+  EXPECT_EQ(report->stats.integrity_failures, 1u);
+  EXPECT_EQ(report->stats.shares_healed, 1u);
+  EXPECT_EQ(cloud.client->availability_monitor().IntegrityFailureCount(rotted.csp),
+            ledger_before + 1);
+
+  // The heal landed, and the chunk is back at full health.
+  auto stored = cloud.stores[rotted.csp]->Download(object);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  EXPECT_EQ(Sha1::Hash(*stored), rotted.digest);
+  for (const ChunkHealth& chunk : cloud.client->ScrubScan()) {
+    EXPECT_FALSE(chunk.degraded());
+  }
+  auto get = cloud.client->Get("a.bin");
+  ASSERT_TRUE(get.ok()) << get.status();
+  EXPECT_EQ(get->content, content);
+  EXPECT_EQ(get->integrity_rejected_shares, 0u);
 }
 
 }  // namespace
